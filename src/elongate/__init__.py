@@ -41,7 +41,6 @@ from .geometry import (
     region_cells,
 )
 from .solver import (
-    LineSearchError,
     MinimalityReport,
     SolveOptions,
     SolveReport,
@@ -58,7 +57,6 @@ from .study import (
     SweepRecord,
     SweepResult,
     Verdict,
-    VerdictThresholds,
     convergence_verdicts,
     decay_profile,
     fit_rate,

@@ -31,10 +31,9 @@ from .density import (
 from .field import Load, extend_vertical, save_field
 from .geometry import CrossSection, DomainSpec, NodeBudgetError, build_grid, build_vertical_grid
 from .ioutil import atomic_write_text
-from .solver import SolveOptions, minimize, minimality_audit, solve_limit
+from .solver import SolveOptions, default_grad_tol, minimize, minimality_audit, solve_limit
 from .study import (
     SweepConfig,
-    VerdictThresholds,
     convergence_verdicts,
     decay_profile,
     fit_rate,
@@ -62,9 +61,9 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "grid": {"target_h": 0.125, "max_nodes": None},
     "density": {"kind": "quadratic", "p": 2.0},
     "load": {"kind": "constant", "value": 2.0},
-    "solver": {"method": "auto", "grad_tol": None, "max_iters": 100000, "warm_start": True},
+    "solver": {"grad_tol": None, "max_iters": 100000, "warm_start": True},
     "study": {"ell0": 1.0, "floor": None, "fit_models": ["power", "exponential"]},
-    "output": {"directory": "out", "formats": ["csv", "json"]},
+    "output": {"directory": "out"},
 }
 
 
@@ -114,7 +113,6 @@ def _build_objects(rc: dict):
     load = Load.constant(float(rc["load"]["value"]))
     sol = rc["solver"]
     opts = SolveOptions(
-        method=sol["method"],
         grad_tol=None if sol["grad_tol"] is None else float(sol["grad_tol"]),
         max_iters=int(sol["max_iters"]),
     )
@@ -148,11 +146,11 @@ def _emit_json(path: str, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _dry_run(rc: dict, sweep: SweepConfig) -> int:
+def _dry_run(sweep: SweepConfig) -> int:
     budget = sweep.max_nodes
     for ell in sweep.ells:
         dom = DomainSpec(sweep.cross_section, ell, sweep.vertical_halfwidths)
-        grid = build_grid(dom, sweep.target_h, None)
+        grid = build_grid(dom, sweep.target_h, budget)
         print(f"ell={ell:g}: grid {'x'.join(map(str, grid.shape))} nodes={grid.node_count}"
               f" (budget {budget if budget is not None else 'default'})")
     return EXIT_OK
@@ -174,7 +172,7 @@ def _solve_with_audit(sweep: SweepConfig, ell: float):
 def cmd_solve(rc: dict, out: str, dry: bool) -> int:
     sweep = _build_objects(rc)
     if dry:
-        return _dry_run(rc, sweep)
+        return _dry_run(sweep)
     ell = sweep.ells[-1]
     grid, u, rep, w, wrep, audit = _solve_with_audit(sweep, ell)
     os.makedirs(out, exist_ok=True)
@@ -203,7 +201,7 @@ def cmd_solve(rc: dict, out: str, dry: bool) -> int:
 def cmd_sweep(rc: dict, out: str, dry: bool) -> int:
     sweep = _build_objects(rc)
     if dry:
-        return _dry_run(rc, sweep)
+        return _dry_run(sweep)
     result = run_sweep(sweep)
     records = result.records
     os.makedirs(out, exist_ok=True)
@@ -219,10 +217,8 @@ def cmd_sweep(rc: dict, out: str, dry: bool) -> int:
     floor = rc["study"]["floor"]
     if floor is None:
         # default floor: well above the solver-tolerance noise level
-        grad_tol = sweep.options.grad_tol
-        if grad_tol is None:
-            grad_tol = 1e-10 if p == 2 else 1e-9
-        floor = 100.0 * grad_tol * abs(sweep.load.value) * good[0].h_horiz * good[0].h_vert
+        grad_tol = sweep.options.grad_tol or default_grad_tol(sweep.density)
+        floor = 100.0 * grad_tol * abs(sweep.load.value) * result.final_grid.cell_volume
     floor = float(floor)
     models = rc["study"]["fit_models"]
     fits = {}
@@ -243,8 +239,7 @@ def cmd_sweep(rc: dict, out: str, dry: bool) -> int:
     atomic_write_text(os.path.join(out, "plot-exponential.dat"), lines_exp + "\n")
     atomic_write_text(os.path.join(out, "plot-power.dat"), lines_pow + "\n")
 
-    verdicts = convergence_verdicts(records, sweep.density, sweep.cross_section.r, fits,
-                                    VerdictThresholds())
+    verdicts = convergence_verdicts(records, sweep.density, sweep.cross_section.r, fits)
     _emit_json(os.path.join(out, "verdicts.json"), [v.to_json() for v in verdicts])
 
     failed = [v for v in verdicts if v.applicable and v.passed is False]
@@ -261,7 +256,7 @@ def cmd_sweep(rc: dict, out: str, dry: bool) -> int:
 def cmd_profile(rc: dict, out: str, dry: bool) -> int:
     sweep = _build_objects(rc)
     if dry:
-        return _dry_run(rc, sweep)
+        return _dry_run(sweep)
     ell = sweep.ells[-1]
     grid, u, rep, w, wrep, _ = _solve_with_audit(sweep, ell)
     if not (rep.converged and wrep.converged):

@@ -14,6 +14,7 @@ which the decay estimates of interest are stated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Literal
 
@@ -33,7 +34,10 @@ class Load:
 
     @staticmethod
     def constant(value: float) -> "Load":
-        return Load("constant", float(value))
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"load value must be finite, got {value!r}")
+        return Load("constant", value)
 
     @staticmethod
     def sampled(profile: Callable[..., np.ndarray]) -> "Load":

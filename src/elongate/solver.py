@@ -1,19 +1,23 @@
 """Energy minimization on grids: linear and nonlinear conjugate gradients.
 
-The quadratic path is a matrix-free linear CG driven by the assembled
-energy gradient.  The general path is Polak-Ribiere conjugate gradients
-with restarts and Armijo backtracking; line-search energy differences
-are evaluated through cancellation-free per-cell increments, so descent
-remains verifiable far below the round-off floor of naive energy
-subtraction, which is what the tight default tolerances need.
+The density picks the path.  Quadratic densities get a matrix-free
+linear CG driven by the assembled energy gradient; every other density
+gets Polak-Ribiere conjugate gradients with restarts and Armijo
+backtracking.  Line-search energy differences are evaluated through
+cancellation-free per-cell increments, so descent remains verifiable
+far below the round-off floor of naive energy subtraction, which is
+what the tight default tolerances need.
 
 Stopping is on the max-norm of the discrete energy gradient scaled by
 (sup |load|) * (cell volume), keeping one dimensionless tolerance
-meaningful across elongations and spacings.
+meaningful across elongations and spacings.  Running out of iterations,
+a line search that finds no acceptable step and a non-finite gradient
+all end the solve with ``converged=False``; none of them raises.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -33,43 +37,32 @@ from .field import (
 )
 from .geometry import Grid, cutoff
 
-_METHODS = ("auto", "linear-cg", "nonlinear-cg", "gradient-descent")
-
+#: Armijo sufficient-decrease constant, backtracking factor and first trial step.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_INITIAL_STEP = 1.0
 #: Smallest Armijo step attempted before the line search gives up.
 _MIN_STEP = 1e-16
 
 
-class LineSearchError(RuntimeError):
-    """Backtracking found no acceptable step above the minimum size."""
-
-
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tuning knobs for the minimizers.
+    """Stopping rule shared by both minimizers.
 
     ``grad_tol`` is dimensionless; the absolute stopping threshold is
     ``grad_tol * sup|load| * cell volume``.  ``None`` picks the default
-    for the density: 1e-10 for quadratic, 1e-9 otherwise.
+    for the density (:func:`default_grad_tol`).  ``max_iters`` bounds
+    the iterations of one solve.
     """
 
-    method: str = "auto"
     grad_tol: float | None = None
     max_iters: int = 100_000
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {_METHODS}")
-        if self.grad_tol is not None and self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0 < self.armijo_c1 < 1 or not 0 < self.backtrack < 1:
-            raise ValueError("line-search factors must lie in (0, 1)")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
 
 
 @dataclass
@@ -87,15 +80,8 @@ class SolveReport:
 
 
 def default_grad_tol(density: EnergyDensity) -> float:
+    """Default dimensionless gradient tolerance: 1e-10 quadratic, 1e-9 otherwise."""
     return 1e-10 if density.p == 2 else 1e-9
-
-
-def _resolve_method(opts: SolveOptions, density: EnergyDensity) -> str:
-    if opts.method == "auto":
-        return "linear-cg" if density.quadratic else "nonlinear-cg"
-    if opts.method == "linear-cg" and not density.quadratic:
-        raise ValueError("linear-cg requires a quadratic density")
-    return opts.method
 
 
 def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback):
@@ -104,8 +90,9 @@ def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback):
 
     g0 = grad(np.zeros(grid.shape))
     r = -grad(x)
-    if np.max(np.abs(r)) <= tol:
-        return x, 0, float(np.max(np.abs(r))), True
+    rmax = float(np.max(np.abs(r)))
+    if rmax <= tol or not math.isfinite(rmax):
+        return x, 0, rmax, rmax <= tol
     p = r.copy()
     rs = float((r * r).sum())
     converged = False
@@ -123,7 +110,10 @@ def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback):
             r = r - alpha * Ap
         if callback is not None:
             callback(k, x)
-        if np.max(np.abs(r)) <= tol:
+        rmax = float(np.max(np.abs(r)))
+        if not math.isfinite(rmax):
+            break
+        if rmax <= tol:
             r = -grad(x)
             if np.max(np.abs(r)) <= tol:
                 converged = True
@@ -135,7 +125,7 @@ def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback):
     return x, k, gmax, converged or gmax <= tol
 
 
-def _descent(grid, density, f_cells, x, tol, opts, use_cg, callback):
+def _descent(grid, density, f_cells, x, tol, max_iters, callback):
     vol = grid.cell_volume
     mask = None if grid.cell_mask.all() else grid.cell_mask
     fc = np.broadcast_to(f_cells, grid.cell_shape)
@@ -153,43 +143,38 @@ def _descent(grid, density, f_cells, x, tol, opts, use_cg, callback):
 
     g = grad(x)
     gmax = float(np.max(np.abs(g)))
-    if gmax <= tol:
-        return x, 0, gmax, True
+    if gmax <= tol or not math.isfinite(gmax):
+        return x, 0, gmax, gmax <= tol
     d = -g
     m = float((g * d).sum())
-    step = opts.initial_step
+    step = _INITIAL_STEP
     converged = False
     k = 0
-    for k in range(1, opts.max_iters + 1):
+    for k in range(1, max_iters + 1):
         Gx = _cell_gradients_arr(grid, x)
         Gd = _cell_gradients_arr(grid, d)
         md = fc * _cell_means_arr(d)
         if mask is not None:
             md = np.where(mask, md, 0.0)
         lin_d = vol * float(md.sum())
-        alpha = step / opts.backtrack
-        while True:
-            if increment(Gx, Gd, lin_d, alpha) <= opts.armijo_c1 * alpha * m:
-                break
-            alpha *= opts.backtrack
-            if alpha < _MIN_STEP:
-                raise LineSearchError(
-                    f"no acceptable step above {_MIN_STEP:g} at iteration {k} "
-                    f"(grad max-norm {gmax:.3e}, slope {m:.3e})"
-                )
+        alpha = step / _BACKTRACK
+        # written so that a NaN increment is rejected, never accepted
+        while not increment(Gx, Gd, lin_d, alpha) <= _ARMIJO_C1 * alpha * m:
+            alpha *= _BACKTRACK
+            if alpha < _MIN_STEP:  # no acceptable step: iteration k takes none
+                return x, k - 1, gmax, False
         x = x + alpha * d
         step = alpha
         if callback is not None:
             callback(k, x)
         g_new = grad(x)
         gmax = float(np.max(np.abs(g_new)))
+        if not math.isfinite(gmax):
+            break
         if gmax <= tol:
             converged = True
             break
-        if use_cg:
-            beta = max(0.0, float((g_new * (g_new - g)).sum()) / float((g * g).sum()))
-        else:
-            beta = 0.0
+        beta = max(0.0, float((g_new * (g_new - g)).sum()) / float((g * g).sum()))
         d = -g_new + beta * d
         g = g_new
         m = float((g * d).sum())
@@ -209,15 +194,18 @@ def minimize(
 ) -> tuple[ScalarField, SolveReport]:
     """Minimize the discrete energy over admissible fields on the grid.
 
-    Returns the final field and a report; running out of iterations is
-    reported (``converged=False``), not raised.  ``warm_start`` seeds
-    the iteration after projection onto the admissible set;
+    The density picks the path: linear CG when ``density.quadratic``,
+    Polak-Ribiere CG otherwise; ``SolveReport.method`` names it.
+    Returns the final field and a report; running out of iterations, a
+    failed line search and a non-finite gradient are reported
+    (``converged=False``), not raised.  ``warm_start`` seeds the
+    iteration after projection onto the admissible set;
     ``callback(k, values)`` fires after every accepted step.
     """
     opts = opts or SolveOptions()
     if density.n != grid.n:
         raise ValueError(f"density acts on {density.n} components, grid has {grid.n}")
-    method = _resolve_method(opts, density)
+    method = "linear-cg" if density.quadratic else "nonlinear-cg"
     grad_tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(density)
     tol = grad_tol * load.max_abs(grid) * grid.cell_volume
     f_cells = load_cell_values(grid, load)
@@ -238,7 +226,7 @@ def minimize(
         )
     else:
         x, iters, gmax, converged = _descent(
-            grid, density, f_cells, x0, tol, opts, method == "nonlinear-cg", callback
+            grid, density, f_cells, x0, tol, opts.max_iters, callback
         )
     wall = time.perf_counter() - t0
     field = ScalarField(grid, x)
@@ -251,7 +239,6 @@ def solve_limit(
     density: EnergyDensity,
     load: Load,
     opts: SolveOptions | None = None,
-    callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[ScalarField, SolveReport]:
     """Minimize the limit energy on the vertical box alone.
 
@@ -263,7 +250,7 @@ def solve_limit(
     vd = density.vertical_restriction()
     if vd.n != vertical_grid.n:
         raise ValueError("vertical grid dimension does not match the density split")
-    return minimize(vertical_grid, vd, load, opts, callback=callback)
+    return minimize(vertical_grid, vd, load, opts)
 
 
 def oracle_1d(p: float, f_const: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -106,7 +106,6 @@ class SweepResult:
     limit_report: SolveReport
     final_field: ScalarField
     final_grid: Grid
-    fields: list[ScalarField] | None = None
 
 
 def _measure(grid: Grid, u: ScalarField, u_ext: ScalarField, p: float, ell0: float) -> dict:
@@ -123,14 +122,16 @@ def _measure(grid: Grid, u: ScalarField, u_ext: ScalarField, p: float, ell0: flo
     }
 
 
-def run_sweep(config: SweepConfig, keep_fields: bool = False) -> SweepResult:
+def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve the family across the elongation list and measure every record.
 
     Warm starting embeds the previous solution (padded by zeros) into
     the next grid and forces a sequential sweep; with warm starting
     disabled the elongations are solved concurrently, bounded by
-    :func:`thread_budget`.  Non-converged solves mark their record;
-    downstream fits skip them.  Deterministic given the config.
+    :func:`thread_budget`.  Non-converged solves, including a failed
+    limit solve, mark their record; downstream fits skip them.  Only
+    the solution at the largest elongation is kept
+    (``final_field``/``final_grid``).  Deterministic given the config.
     """
     vgrid = build_vertical_grid(config.vertical_halfwidths, config.target_h, config.max_nodes)
     w, wrep = solve_limit(vgrid, config.density, config.load, config.options)
@@ -159,30 +160,16 @@ def run_sweep(config: SweepConfig, keep_fields: bool = False) -> SweepResult:
         return record, u, grid
 
     records: list[SweepRecord] = []
-    fields: list[ScalarField] = []
+    u = grid = None
     if config.warm_start:
-        prev: ScalarField | None = None
-        last = None
         for ell in config.ells:
-            record, u, grid = solve_one(ell, prev)
+            record, u, grid = solve_one(ell, u)
             records.append(record)
-            fields.append(u)
-            prev = u
-            last = (u, grid)
     else:
         with ThreadPoolExecutor(max_workers=thread_budget()) as pool:
-            out = list(pool.map(lambda e: solve_one(e, None), config.ells))
-        records = [r for r, _, _ in out]
-        fields = [u for _, u, _ in out]
-        last = (out[-1][1], out[-1][2])
-    return SweepResult(
-        records=records,
-        limit=w,
-        limit_report=wrep,
-        final_field=last[0],
-        final_grid=last[1],
-        fields=fields if keep_fields else None,
-    )
+            for record, u, grid in pool.map(lambda e: solve_one(e, None), config.ells):
+                records.append(record)
+    return SweepResult(records=records, limit=w, limit_report=wrep, final_field=u, final_grid=grid)
 
 
 @dataclass
@@ -265,24 +252,19 @@ def fit_rate(points: Sequence[tuple[float, float]], model: str, floor: float = 0
     return RateFit(model, float(np.exp(intercept)), exponent, r2, len(usable), floor, True)
 
 
-@dataclass(frozen=True)
-class VerdictThresholds:
-    """Pass/fail knobs for the verdicts, defaulted to the desk-scale targets.
-
-    The scaling slope tolerance allows for the lateral boundary-layer
-    energy offset, which bends finite-range log-log slopes of
-    ``a*ell - b`` data above the asymptotic exponent.
-    """
-
-    scaling_ell_min: float = 4.0
-    scaling_slope_tol: float = 0.25
-    scaling_ratio_bound: float = 1.5
-    interior_slack: float = 0.01
-    hgrad_final_max: float = 1e-6
-    monotone_slack: float = 1e-12
-    power_slack: float = 0.5
-    power_r2_min: float = 0.9
-    exp_r2_min: float = 0.98
+# Verdict thresholds, set to the desk-scale targets.  The scaling slope
+# tolerance allows for the lateral boundary-layer energy offset, which
+# bends finite-range log-log slopes of ``a*ell - b`` data above the
+# asymptotic exponent.
+_SCALING_ELL_MIN = 4.0
+_SCALING_SLOPE_TOL = 0.25
+_SCALING_RATIO_BOUND = 1.5
+_INTERIOR_SLACK = 0.01
+_HGRAD_FINAL_MAX = 1e-6
+_MONOTONE_SLACK = 1e-12
+_POWER_SLACK = 0.5
+_POWER_R2_MIN = 0.9
+_EXP_R2_MIN = 0.98
 
 
 @dataclass
@@ -310,7 +292,6 @@ def convergence_verdicts(
     density: EnergyDensity,
     r: int,
     fits: dict[str, RateFit],
-    thresholds: VerdictThresholds | None = None,
 ) -> list[Verdict]:
     """Empirical pass/fail verdicts over a sweep.
 
@@ -320,12 +301,11 @@ def convergence_verdicts(
     others are marked skipped.  When every fitted point sits at or below
     the fit floor the decay is treated as passed at the tolerance floor.
     """
-    th = thresholds or VerdictThresholds()
     good = [rec for rec in records if rec.converged]
     verdicts: list[Verdict] = []
     p = density.p
 
-    scal = [rec for rec in good if rec.ell >= th.scaling_ell_min]
+    scal = [rec for rec in good if rec.ell >= _SCALING_ELL_MIN]
     if len(scal) < 3:
         scal = good
     if len(scal) >= 3:
@@ -333,7 +313,7 @@ def convergence_verdicts(
         ratios = np.array([rec.total_grad_energy / rec.ell**r for rec in scal])
         if fit.ok and ratios.min() > 0:
             ratio_spread = float(ratios.max() / ratios.min())
-            ok = abs(fit.exponent - r) <= th.scaling_slope_tol and ratio_spread <= th.scaling_ratio_bound
+            ok = abs(fit.exponent - r) <= _SCALING_SLOPE_TOL and ratio_spread <= _SCALING_RATIO_BOUND
             measured = {"slope": fit.exponent, "r2": fit.r2, "ratio_spread": ratio_spread}
             verdicts.append(Verdict("coarse_energy_scaling", True, bool(ok), measured))
         else:
@@ -353,7 +333,7 @@ def convergence_verdicts(
 
     if len(good) >= 3:
         errs = np.array([rec.err_grad_p for rec in good])
-        bound = errs[0] * (1.0 + th.interior_slack) + th.monotone_slack
+        bound = errs[0] * (1.0 + _INTERIOR_SLACK) + _MONOTONE_SLACK
         verdicts.append(
             Verdict(
                 "interior_error_bounded",
@@ -364,8 +344,8 @@ def convergence_verdicts(
             )
         )
         hg = np.array([rec.hgrad_p for rec in good])
-        monotone = bool(np.all(np.diff(hg) <= th.monotone_slack))
-        final_ok = hg[-1] <= th.hgrad_final_max
+        monotone = bool(np.all(np.diff(hg) <= _MONOTONE_SLACK))
+        final_ok = hg[-1] <= _HGRAD_FINAL_MAX
         verdicts.append(
             Verdict(
                 "horizontal_gradient_vanishes",
@@ -386,7 +366,7 @@ def convergence_verdicts(
         if fit is None:
             verdicts.append(Verdict("power_rate", True, None, {}, "no power fit supplied"))
         elif fit.ok:
-            ok = fit.n_points >= 3 and fit.r2 >= th.power_r2_min and fit.exponent <= target + th.power_slack
+            ok = fit.n_points >= 3 and fit.r2 >= _POWER_R2_MIN and fit.exponent <= target + _POWER_SLACK
             measured = {"exponent": fit.exponent, "target": target, "r2": fit.r2, "n_points": fit.n_points}
             verdicts.append(Verdict("power_rate", True, bool(ok), measured))
         else:
@@ -408,7 +388,7 @@ def convergence_verdicts(
         if fit is None:
             verdicts.append(Verdict("exponential_rate", True, None, {}, "no exponential fit supplied"))
         elif fit.ok:
-            ok = fit.exponent > 0 and fit.r2 >= th.exp_r2_min
+            ok = fit.exponent > 0 and fit.r2 >= _EXP_R2_MIN
             measured = {"rate": fit.exponent, "r2": fit.r2, "n_points": fit.n_points}
             verdicts.append(Verdict("exponential_rate", True, bool(ok), measured))
         else:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -51,6 +52,33 @@ def test_dry_run_prints_budget_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dry_run_honours_node_budget(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", grid={"max_nodes": 50})
+    out = tmp_path / "o"
+    assert main(["--dry-run", "sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "budget is 50" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_load_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", load={"value": float("nan")})
+    assert "NaN" in cfg.read_text()
+    t0 = time.perf_counter()
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_removed_options_are_config_errors():
+    with pytest.raises(ConfigError):
+        resolve_config({"solver": {"method": "auto"}})
+    with pytest.raises(ConfigError):
+        resolve_config({"output": {"formats": ["csv"]}})
+    with pytest.raises(ConfigError):
+        resolve_config({"solver": {"grad_tol": float("nan")}})
+
+
 def test_solve_writes_artifacts(tmp_path):
     cfg = _write_config(tmp_path / "c.json")
     out = tmp_path / "o"
@@ -62,6 +90,7 @@ def test_solve_writes_artifacts(tmp_path):
     assert audit["violations"] == 0
     report = json.loads((out / "solve-report.json").read_text())
     assert report["solve"]["converged"] is True
+    assert report["solve"]["method"] == "linear-cg"
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
@@ -76,6 +105,29 @@ def test_resolved_config_round_trip(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     resolved = json.loads((out / "resolved-config.json").read_text())
     assert resolve_config(resolved) == resolved
+
+
+def test_line_search_failure_exits_2(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "c.json",
+        grid={"target_h": 0.125},
+        density={"kind": "p-dirichlet", "p": 4.0},
+        solver={"grad_tol": 1e-16, "max_iters": 400},
+    )
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "solver failures" in err
+
+
+def test_sweep_default_floor_uses_cell_volume(tmp_path):
+    h = 0.25
+    cfg = _write_config(tmp_path / "c.json", domain={"vertical_halfwidths": [1.0, 1.0]},
+                        grid={"target_h": h})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    fits = json.loads((out / "fits.json").read_text())
+    for fit in fits.values():
+        assert fit["floor"] == pytest.approx(100 * 1e-10 * 2.0 * h**3, rel=1e-12)
 
 
 def test_sweep_artifacts_and_exit(tmp_path):

@@ -226,3 +226,9 @@ def test_load_evaluate():
     assert np.allclose(prof.evaluate(ys), ys**2)
     assert prof.max_abs(grid) == pytest.approx(float(np.max(ys**2)))
     assert Load.conjugate_exponent(4.0) == pytest.approx(4 / 3)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_load_constant_rejects_non_finite(value):
+    with pytest.raises(ValueError):
+        Load.constant(value)
