@@ -96,7 +96,10 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("domain.cross_section must be 'box' or 'ball'")
     if rc["load"]["kind"] != "constant":
         raise ConfigError("only constant loads are configurable from files")
+    floor = rc["study"]["floor"]
     try:
+        if floor is not None and not math.isfinite(float(floor)):
+            raise ConfigError(f"study.floor must be finite, got {floor}")
         _build_objects(rc)
     except ConfigError:
         raise

@@ -184,18 +184,18 @@ def _assemble_gradient_arr(grid: Grid, values: np.ndarray, density, f_cells: np.
     gF = density.grad(grads) * vol
     fterm = np.broadcast_to(f_cells, grid.cell_shape) * vol
     if not grid.cell_mask.all():
-        gF = np.where(grid.cell_mask[..., None], gF, 0.0)
-        fterm = np.where(grid.cell_mask, fterm, 0.0)
+        outside = ~grid.cell_mask
+        np.copyto(gF, 0.0, where=outside[..., None])
+        np.copyto(fterm, 0.0, where=outside)
     out = np.zeros(grid.shape)
     for a in range(grid.n):
         comp = gF[..., a]
         for b in range(grid.n):
             comp = _scatter_diff(comp, b, grid.h[a]) if b == a else _scatter_mean(comp, b)
         out += comp
-    lterm = np.array(fterm)
     for b in range(grid.n):
-        lterm = _scatter_mean(lterm, b)
-    out -= lterm
+        fterm = _scatter_mean(fterm, b)
+    out -= fterm
     out[grid.dirichlet] = 0.0
     return out
 

@@ -1,18 +1,26 @@
-"""Energy minimization on grids: linear and nonlinear conjugate gradients.
+"""Energy minimization on grids: preconditioned conjugate gradients.
 
 The density picks the path.  Quadratic densities get a matrix-free
-linear CG driven by the assembled energy gradient; every other density
-gets Polak-Ribiere conjugate gradients with restarts and Armijo
-backtracking.  Line-search energy differences are evaluated through
-cancellation-free per-cell increments, so descent remains verifiable
-far below the round-off floor of naive energy subtraction, which is
-what the tight default tolerances need.
+preconditioned linear CG driven by the assembled energy gradient; every
+other density gets preconditioned Polak-Ribiere conjugate gradients with
+restarts and Armijo backtracking.  Line-search energy differences are
+evaluated through cancellation-free per-cell increments, so descent
+remains verifiable far below the round-off floor of naive energy
+subtraction, which is what the tight default tolerances need.
+
+Both paths share one preconditioner: the exact inverse of the quadratic
+Hessian of the grid's bounding box, applied by fast diagonalization
+with sine transforms and restricted to the free nodes.  On box grids
+and on the vertical grid of the limit problem it solves the quadratic
+problem outright; on ball grids and for ``p > 2`` it acts as an H^1
+(Sobolev-gradient) preconditioner.
 
 Stopping is on the max-norm of the discrete energy gradient scaled by
 (sup |load|) * (cell volume), keeping one dimensionless tolerance
 meaningful across elongations and spacings.  Running out of iterations,
-a line search that finds no acceptable step and a non-finite gradient
-all end the solve with ``converged=False``; none of them raises.
+a line search that finds no acceptable step, a step too small to move
+the iterate and a non-finite gradient all end the solve with
+``converged=False``; none of them raises.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ _BACKTRACK = 0.5
 _INITIAL_STEP = 1.0
 #: Smallest Armijo step attempted before the line search gives up.
 _MIN_STEP = 1e-16
+#: Relative size of an accepted step below which the iterate no longer moves.
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -84,25 +94,86 @@ def default_grad_tol(density: EnergyDensity) -> float:
     return 1e-10 if density.p == 2 else 1e-9
 
 
-def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback):
+def _dst1(values: np.ndarray, axis: int) -> np.ndarray:
+    """Twice the DST-I of the interior entries along ``axis``.
+
+    Node arrays carry the two boundary entries, which must be zero; the
+    result has the same shape, zero at both ends.  One ``rfft`` of the
+    odd extension gives the transform in its (negated) imaginary part.
+    """
+    inner = [slice(None)] * values.ndim
+    inner[axis] = slice(-2, 0, -1)
+    ext = np.concatenate((values, -values[tuple(inner)]), axis=axis)
+    return -np.fft.rfft(ext, axis=axis).imag
+
+
+def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact inverse of the box's quadratic Hessian, restricted to the free nodes.
+
+    With one centroid quadrature point the Hessian of ``|grad u|^2 / 2``
+    on the grid's bounding box is ``vol * sum_a K_a / h_a^2 (x)
+    prod_{b != a} M_b`` over the interior nodes, with the 1-D stiffness
+    ``K = tridiag(-1, 2, -1)`` and corner-mean mass ``M = tridiag(1, 2,
+    1) / 4``.  Sine vectors diagonalize both (fast diagonalization):
+    the eigenvalues are ``vol * sum_a (4 / h_a^2) sin^2(th_a / 2)
+    prod_{b != a} cos^2(th_b / 2)`` with ``th_a = k_a pi / N_a`` for
+    ``N_a`` cells on axis ``a``.  Two doubled DST-I passes scale by
+    ``2 N_a`` per axis, which the inverse eigenvalues absorb.  The
+    result is zeroed at every Dirichlet node, so the map is symmetric
+    and positive definite on the free nodes of any grid, and exact on
+    box grids.
+    """
+    half = [
+        (0.5 * np.pi / m * np.arange(m + 1)).reshape([-1 if b == a else 1 for b in range(grid.n)])
+        for a, m in enumerate(grid.cell_shape)
+    ]
+    lam = np.zeros(grid.shape)
+    for a in range(grid.n):
+        term = 4.0 / grid.h[a] ** 2 * np.sin(half[a]) ** 2
+        for b in range(grid.n):
+            if b != a:
+                term = term * np.cos(half[b]) ** 2
+        lam += term
+    lam *= grid.cell_volume * float(np.prod([2.0 * m for m in grid.cell_shape]))
+    inv = np.zeros(grid.shape)
+    inner = (slice(1, -1),) * grid.n
+    inv[inner] = 1.0 / lam[inner]
+    fixed = grid.dirichlet
+
+    def apply(residual: np.ndarray) -> np.ndarray:
+        z = residual
+        for a in range(grid.n):
+            z = _dst1(z, a)
+        z *= inv
+        for a in range(grid.n):
+            z = _dst1(z, a)
+        z[fixed] = 0.0
+        return z
+
+    return apply
+
+
+def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback, precond):
+    zero_load = np.zeros((1,) * grid.n)
+
     def grad(values):
         return _assemble_gradient_arr(grid, values, density, f_cells)
 
-    g0 = grad(np.zeros(grid.shape))
     r = -grad(x)
     rmax = float(np.max(np.abs(r)))
     if rmax <= tol or not math.isfinite(rmax):
         return x, 0, rmax, rmax <= tol
-    p = r.copy()
-    rs = float((r * r).sum())
+    p = precond(r)
+    rz = float((r * p).sum())
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        Ap = grad(p) - g0
+        # the Hessian product is the gradient of the unloaded energy
+        Ap = _assemble_gradient_arr(grid, p, density, zero_load)
         pAp = float((p * Ap).sum())
         if pAp <= 0:
             break  # curvature lost to round-off; the true residual check below decides
-        alpha = rs / pAp
+        alpha = rz / pAp
         x = x + alpha * p
         if k % 50 == 0:
             r = -grad(x)
@@ -118,14 +189,17 @@ def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback):
             if np.max(np.abs(r)) <= tol:
                 converged = True
                 break
-        rs_new = float((r * r).sum())
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        if alpha * float(np.max(np.abs(p))) <= _EPS * float(np.max(np.abs(x))):
+            break  # stagnated at the round-off floor: the step no longer moves x
+        z = precond(r)
+        rz_new = float((r * z).sum())
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     gmax = float(np.max(np.abs(grad(x))))
     return x, k, gmax, converged or gmax <= tol
 
 
-def _descent(grid, density, f_cells, x, tol, max_iters, callback):
+def _descent(grid, density, f_cells, x, tol, max_iters, callback, precond):
     vol = grid.cell_volume
     mask = None if grid.cell_mask.all() else grid.cell_mask
     fc = np.broadcast_to(f_cells, grid.cell_shape)
@@ -145,8 +219,10 @@ def _descent(grid, density, f_cells, x, tol, max_iters, callback):
     gmax = float(np.max(np.abs(g)))
     if gmax <= tol or not math.isfinite(gmax):
         return x, 0, gmax, gmax <= tol
-    d = -g
-    m = float((g * d).sum())
+    z = precond(g)
+    gz = float((g * z).sum())
+    d = -z
+    m = -gz
     step = _INITIAL_STEP
     converged = False
     k = 0
@@ -174,13 +250,17 @@ def _descent(grid, density, f_cells, x, tol, max_iters, callback):
         if gmax <= tol:
             converged = True
             break
-        beta = max(0.0, float((g_new * (g_new - g)).sum()) / float((g * g).sum()))
-        d = -g_new + beta * d
-        g = g_new
+        if alpha * float(np.max(np.abs(d))) <= _EPS * float(np.max(np.abs(x))):
+            break  # stagnated at the round-off floor: the step no longer moves x
+        z_new = precond(g_new)
+        gz_new = float((g_new * z_new).sum())
+        beta = max(0.0, (gz_new - float((g_new * z).sum())) / gz)
+        d = -z_new + beta * d
+        g, z, gz = g_new, z_new, gz_new
         m = float((g * d).sum())
         if m >= 0.0:  # restart: keep the direction a descent direction
-            d = -g
-            m = -float((g * g).sum())
+            d = -z
+            m = -gz
     return x, k, gmax, converged
 
 
@@ -195,9 +275,10 @@ def minimize(
     """Minimize the discrete energy over admissible fields on the grid.
 
     The density picks the path: linear CG when ``density.quadratic``,
-    Polak-Ribiere CG otherwise; ``SolveReport.method`` names it.
-    Returns the final field and a report; running out of iterations, a
-    failed line search and a non-finite gradient are reported
+    Polak-Ribiere CG otherwise, both preconditioned by the box inverse;
+    ``SolveReport.method`` names the path.  Returns the final field and
+    a report; running out of iterations, a failed line search, a
+    stagnated step and a non-finite gradient are reported
     (``converged=False``), not raised.  ``warm_start`` seeds the
     iteration after projection onto the admissible set;
     ``callback(k, values)`` fires after every accepted step.
@@ -220,14 +301,10 @@ def minimize(
         x0[grid.dirichlet] = 0.0
 
     t0 = time.perf_counter()
-    if method == "linear-cg":
-        x, iters, gmax, converged = _linear_cg(
-            grid, density, f_cells, x0, tol, opts.max_iters, callback
-        )
-    else:
-        x, iters, gmax, converged = _descent(
-            grid, density, f_cells, x0, tol, opts.max_iters, callback
-        )
+    run = _linear_cg if method == "linear-cg" else _descent
+    x, iters, gmax, converged = run(
+        grid, density, f_cells, x0, tol, opts.max_iters, callback, _box_inverse(grid)
+    )
     wall = time.perf_counter() - t0
     field = ScalarField(grid, x)
     energy = _assemble_energy_arr(grid, field.values, density, f_cells)

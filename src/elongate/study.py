@@ -11,6 +11,7 @@ falling until they meet the solver-tolerance floor.
 from __future__ import annotations
 
 import io
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -71,10 +72,15 @@ class SweepConfig:
         )
         if not self.ells:
             raise ValueError("need at least one elongation")
+        if not all(0 < e < math.inf for e in self.ells):
+            raise ValueError(f"elongations must be positive and finite, got {self.ells}")
         if any(b <= a for a, b in zip(self.ells, self.ells[1:])):
             raise ValueError("elongations must be strictly ascending")
-        if self.ell0 <= 0 or self.ell0 > self.ells[0]:
+        # written so that NaN fails every range check
+        if not 0 < self.ell0 <= self.ells[0]:
             raise ValueError("ell0 must lie in (0, min(ells)]")
+        if self.max_nodes is not None and not 0 < self.max_nodes < math.inf:
+            raise ValueError(f"max_nodes must be positive and finite, got {self.max_nodes}")
 
 
 @dataclass

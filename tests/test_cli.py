@@ -70,6 +70,25 @@ def test_non_finite_load_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section,key", [("study", "floor"), ("study", "ell0"), ("grid", "max_nodes")])
+def test_nan_config_number_is_config_error(tmp_path, capsys, section, key):
+    cfg = _write_config(tmp_path / "c.json", **{section: {key: float("nan")}})
+    assert "NaN" in cfg.read_text()
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_non_finite_ell_is_config_error(tmp_path, capsys, bad):
+    cfg = _write_config(tmp_path / "c.json", domain={"ell_list": [2.0, bad]})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_removed_options_are_config_errors():
     with pytest.raises(ConfigError):
         resolve_config({"solver": {"method": "auto"}})
@@ -94,7 +113,10 @@ def test_solve_writes_artifacts(tmp_path):
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "c.json", solver={"max_iters": 1, "grad_tol": 1e-12})
+    # a ball cross-section: the box preconditioner is not exact there, so
+    # one iteration cannot converge
+    cfg = _write_config(tmp_path / "c.json", domain={"r": 2, "cross_section": "ball"},
+                        solver={"max_iters": 1, "grad_tol": 1e-12})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "converge" in capsys.readouterr().err
 

@@ -10,6 +10,7 @@ from elongate import (
     ScalarField,
     SolveOptions,
     assemble_energy,
+    assemble_energy_gradient,
     build_grid,
     build_vertical_grid,
     extend_vertical,
@@ -20,6 +21,7 @@ from elongate import (
     solve_limit,
     sup_error,
 )
+from elongate.solver import _box_inverse
 
 CS1 = CrossSection("box", 1)
 LOAD2 = Load.constant(2.0)
@@ -153,8 +155,9 @@ def test_minimize_zero_load_zero_start():
 
 
 def test_nonconvergence_is_reported_not_raised():
-    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
-    d = make_density("quadratic", r=1, n=2)
+    # ball grid: the box preconditioner is inexact, two iterations fall short
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), 1 / 4)
+    d = make_density("quadratic", r=2, n=3)
     u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-10, max_iters=2))
     assert not rep.converged
     assert rep.iterations == 2
@@ -184,6 +187,78 @@ def test_non_finite_gradient_stops_the_solve(kind, p):
     u, rep = minimize(grid, d, LOAD2, SolveOptions(max_iters=1000))
     assert not rep.converged
     assert rep.iterations <= 1
+
+
+def _random_box_grid(rng, r, vertical):
+    """Box grid with random elongation, halfwidths and spacing (anisotropic h)."""
+    hw = tuple(rng.uniform(0.3, 1.2) for _ in range(vertical))
+    h = rng.uniform(0.06, 0.15) if r + vertical < 3 else rng.uniform(0.12, 0.25)
+    if r == 0:
+        return build_vertical_grid(hw, h)
+    return build_grid(DomainSpec(CrossSection("box", r), rng.uniform(0.5, 2.5), hw), h)
+
+
+def _hessian_product(grid, values):
+    d = make_density("quadratic", r=grid.r, n=grid.n)
+    return assemble_energy_gradient(ScalarField(grid, values), d, Load.constant(0.0))
+
+
+@pytest.mark.parametrize("r,vertical", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
+    # exact oracle: on box grids the preconditioner is the inverse of the
+    # assembled quadratic Hessian on the free nodes
+    rng = np.random.default_rng(100 * seed + 10 * r + vertical)
+    grid = _random_box_grid(rng, r, vertical)
+    assert grid.n == 1 or len(set(grid.h)) > 1
+    apply_inverse = _box_inverse(grid)
+    for _ in range(3):
+        x = rng.standard_normal(grid.shape)
+        x[grid.dirichlet] = 0.0
+        z = apply_inverse(_hessian_product(grid, x))
+        assert np.max(np.abs(z - x)) <= 1e-12 * np.max(np.abs(x))
+        b = rng.standard_normal(grid.shape)
+        b[grid.dirichlet] = 0.0
+        Ab = _hessian_product(grid, apply_inverse(b))
+        assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_quadratic_box_solve_is_one_iteration():
+    grid = build_grid(DomainSpec(CrossSection("box", 2), 1.5, (1.0,)), 1 / 8)
+    d = make_density("quadratic", r=2, n=3)
+    u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-12))
+    assert rep.converged and rep.iterations == 1
+
+
+def test_ball_solve_matches_dense_solve():
+    # exact oracle on a masked grid, where the box inverse is only a
+    # preconditioner: the dense assembled system solved directly
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
+    d = make_density("quadratic", r=2, n=3)
+    free = np.flatnonzero(grid.interior)
+    columns = []
+    for i in free:
+        e = np.zeros(grid.node_count)
+        e[i] = 1.0
+        columns.append(_hessian_product(grid, e.reshape(grid.shape)).ravel()[free])
+    A = np.array(columns).T
+    assert np.allclose(A, A.T, rtol=0, atol=1e-14 * np.max(np.abs(A)))
+    b = -assemble_energy_gradient(ScalarField.zeros(grid), d, LOAD2).ravel()[free]
+    exact = np.linalg.solve(A, b)
+    u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-12))
+    assert rep.converged and rep.iterations > 1
+    assert np.max(np.abs(u.values.ravel()[free] - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_stagnated_linear_cg_stops():
+    # grad_tol 1e-16 is below the round-off floor of the quadratic solve:
+    # the solve stops once its steps no longer move the field
+    grid = build_grid(DomainSpec(CS1, 4.0, (1.0,)), 1 / 16)
+    d = make_density("quadratic", r=1, n=2)
+    u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-16))
+    assert not rep.converged
+    assert 0 < rep.iterations < 100
+    assert np.all(np.isfinite(u.values))
 
 
 def test_warm_start_equivalence():

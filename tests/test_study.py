@@ -122,6 +122,22 @@ def test_run_sweep_parallel_matches_sequential():
         assert abs(a.err_grad_p - b.err_grad_p) <= 1e-10 * max(1.0, a.err_grad_p)
 
 
+def test_decay_rate_converges_to_pi_over_2():
+    # exact oracle: on the strip (-ell, ell) x (-1, 1) the gradient error
+    # decays as exp(-pi/2 ell); the fitted rate converges under refinement
+    errs = []
+    for h in (1 / 16, 1 / 32, 1 / 64):
+        ells = tuple(float(e) for e in range(2, 13))
+        res = run_sweep(_sweep_config(ells=ells, target_h=h, warm_start=False))
+        assert all(r.converged for r in res.records)
+        floor = 100 * 1e-10 * 2.0 * h * h
+        fit = fit_rate([(r.ell, r.err_grad_p ** 0.5) for r in res.records], "exponential", floor)
+        assert fit.ok and fit.n_points == 11
+        errs.append(abs(fit.exponent - math.pi / 2))
+    assert errs[0] >= 3 * errs[1]
+    assert errs[1] >= 3 * errs[2]
+
+
 def test_sweep_config_validation():
     with pytest.raises(ValueError):
         _sweep_config(ells=(3.0, 2.0))
@@ -129,6 +145,13 @@ def test_sweep_config_validation():
         _sweep_config(ells=())
     with pytest.raises(ValueError):
         _sweep_config(ell0=5.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _sweep_config(ells=(2.0, bad))
+        with pytest.raises(ValueError):
+            _sweep_config(ell0=bad)
+        with pytest.raises(ValueError):
+            _sweep_config(max_nodes=bad)
 
 
 def test_decay_profile_partition_and_monotonicity():
