@@ -72,11 +72,17 @@ class SweepConfig:
         )
         if not self.ells:
             raise ValueError("need at least one elongation")
+        # range checks are written so that NaN fails them
         if not all(0 < e < math.inf for e in self.ells):
             raise ValueError(f"elongations must be positive and finite, got {self.ells}")
+        if not all(0 < w < math.inf for w in self.vertical_halfwidths):
+            raise ValueError(
+                f"vertical halfwidths must be positive and finite, got {self.vertical_halfwidths}"
+            )
+        if not 0 < self.target_h < math.inf:
+            raise ValueError(f"target_h must be positive and finite, got {self.target_h}")
         if any(b <= a for a, b in zip(self.ells, self.ells[1:])):
             raise ValueError("elongations must be strictly ascending")
-        # written so that NaN fails every range check
         if not 0 < self.ell0 <= self.ells[0]:
             raise ValueError("ell0 must lie in (0, min(ells)]")
         if self.max_nodes is not None and not 0 < self.max_nodes < math.inf:

@@ -70,7 +70,9 @@ def test_non_finite_load_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("section,key", [("study", "floor"), ("study", "ell0"), ("grid", "max_nodes")])
+@pytest.mark.parametrize("section,key", [
+    ("study", "floor"), ("study", "ell0"), ("grid", "max_nodes"), ("grid", "target_h"),
+])
 def test_nan_config_number_is_config_error(tmp_path, capsys, section, key):
     cfg = _write_config(tmp_path / "c.json", **{section: {key: float("nan")}})
     assert "NaN" in cfg.read_text()
@@ -80,9 +82,13 @@ def test_nan_config_number_is_config_error(tmp_path, capsys, section, key):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-def test_non_finite_ell_is_config_error(tmp_path, capsys, bad):
-    cfg = _write_config(tmp_path / "c.json", domain={"ell_list": [2.0, bad]})
+@pytest.mark.parametrize("key,value", [
+    ("ell_list", [2.0, float("inf")]),
+    ("ell_list", [2.0, float("nan")]),
+    ("vertical_halfwidths", [float("inf")]),
+])
+def test_non_finite_domain_number_is_config_error(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path / "c.json", domain={key: value})
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err

@@ -152,6 +152,10 @@ def test_sweep_config_validation():
             _sweep_config(ell0=bad)
         with pytest.raises(ValueError):
             _sweep_config(max_nodes=bad)
+        with pytest.raises(ValueError):
+            _sweep_config(vertical_halfwidths=(bad,))
+        with pytest.raises(ValueError):
+            _sweep_config(target_h=bad)
 
 
 def test_decay_profile_partition_and_monotonicity():
