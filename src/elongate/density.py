@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
+
+from .geometry import _dot
 
 #: Normalized slack absorbed by every audit margin: certified constants can
 #: be equality-tight, so exact checks float at rounding level.
@@ -51,8 +54,8 @@ class EnergyDensity(abc.ABC):
 
     Subclasses provide vectorized ``value``/``grad`` on arrays of shape
     ``(..., n)``; the base class supplies generic (subtraction-based)
-    fallbacks for the split and for increments, which built-ins override
-    with cancellation-free forms.
+    fallbacks for the split and for line increments, which built-ins
+    override with cancellation-free forms.
     """
 
     kind: str = "custom"
@@ -99,10 +102,22 @@ class EnergyDensity(abc.ABC):
         xi = np.asarray(xi, dtype=float)
         return self.value(xi) - self.vertical(xi[..., self.r:])
 
-    def value_increment(self, xi, delta) -> np.ndarray:
-        """``F(xi + delta) - F(xi)``, overridden stably by built-ins."""
+    def line_increment(self, xi, delta) -> Callable[[float], np.ndarray]:
+        """The map ``alpha -> F(xi + alpha * delta) - F(xi)``, per leading index.
+
+        Work that does not depend on ``alpha`` is done once, here, so a
+        line search pays only for what changes between its trials.  This
+        fallback subtracts values; built-ins override it with
+        cancellation-free forms.
+        """
         xi = np.asarray(xi, dtype=float)
-        return self.value(xi + delta) - self.value(xi)
+        delta = np.asarray(delta, dtype=float)
+        base = self.value(xi)
+        return lambda alpha: self.value(xi + alpha * delta) - base
+
+    def value_increment(self, xi, delta) -> np.ndarray:
+        """``F(xi + delta) - F(xi)``; as stable as :meth:`line_increment`."""
+        return self.line_increment(xi, delta)(1.0)
 
     @abc.abstractmethod
     def vertical_restriction(self) -> "EnergyDensity":
@@ -125,7 +140,7 @@ def _pow_diff(S, u, q: float) -> np.ndarray:
 
 
 def _sq(xi) -> np.ndarray:
-    return np.sum(xi * xi, axis=-1)
+    return _dot(xi, xi)
 
 
 class PDirichletDensity(EnergyDensity):
@@ -168,11 +183,13 @@ class PDirichletDensity(EnergyDensity):
         xi = np.asarray(xi, dtype=float)
         return _pow_diff(_sq(xi[..., self.r:]), _sq(xi[..., : self.r]), self.p / 2) / self.p
 
-    def value_increment(self, xi, delta):
+    def line_increment(self, xi, delta):
         xi = np.asarray(xi, dtype=float)
         delta = np.asarray(delta, dtype=float)
-        u = 2.0 * np.sum(xi * delta, axis=-1) + _sq(delta)
-        return _pow_diff(_sq(xi), u, self.p / 2) / self.p
+        # |xi + a delta|^2 = S + a (2b + a c)
+        S, b2, c = _sq(xi), 2.0 * _dot(xi, delta), _sq(delta)
+        q, p = self.p / 2, self.p
+        return lambda alpha: _pow_diff(S, alpha * (b2 + alpha * c), q) / p
 
     def vertical_restriction(self):
         return PDirichletDensity(self.p, 0, self.n - self.r)
@@ -227,16 +244,22 @@ class SeparablePowerDensity(EnergyDensity):
         xi = np.asarray(xi, dtype=float)
         return _sq(xi[..., : self.r]) ** (self.p / 2) / self.p
 
-    def value_increment(self, xi, delta):
+    def line_increment(self, xi, delta):
         xi = np.asarray(xi, dtype=float)
         delta = np.asarray(delta, dtype=float)
-        q = self.p / 2
-        out = 0.0
-        for sl in (slice(0, self.r), slice(self.r, self.n)):
-            x, d = xi[..., sl], delta[..., sl]
-            u = 2.0 * np.sum(x * d, axis=-1) + _sq(d)
-            out = out + _pow_diff(_sq(x), u, q)
-        return out / self.p
+        q, p, r = self.p / 2, self.p, self.r
+        blocks = [
+            (_sq(x), 2.0 * _dot(x, d), _sq(d))
+            for x, d in ((xi[..., :r], delta[..., :r]), (xi[..., r:], delta[..., r:]))
+        ]
+
+        def increment(alpha):
+            out = 0.0
+            for S, b2, c in blocks:
+                out = out + _pow_diff(S, alpha * (b2 + alpha * c), q)
+            return out / p
+
+        return increment
 
     def vertical_restriction(self):
         return PDirichletDensity(self.p, 0, self.n - self.r)
@@ -272,10 +295,11 @@ class QuadraticDensity(EnergyDensity):
         xi = np.asarray(xi, dtype=float)
         return 0.5 * _sq(xi[..., : self.r])
 
-    def value_increment(self, xi, delta):
+    def line_increment(self, xi, delta):
         xi = np.asarray(xi, dtype=float)
         delta = np.asarray(delta, dtype=float)
-        return np.sum(xi * delta, axis=-1) + 0.5 * _sq(delta)
+        b, c = _dot(xi, delta), 0.5 * _sq(delta)
+        return lambda alpha: alpha * (b + alpha * c)
 
     def vertical_restriction(self):
         return QuadraticDensity(0, self.n - self.r)
@@ -315,7 +339,7 @@ def _sample_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     """
     mag = 10.0 ** rng.uniform(-3.0, 3.0, count)
     direction = rng.standard_normal((count, dim))
-    norms = np.sqrt(np.sum(direction * direction, axis=-1))
+    norms = np.sqrt(_sq(direction))
     norms[norms == 0] = 1.0
     return mag[:, None] * direction / norms[:, None]
 

@@ -20,7 +20,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .geometry import Grid, embed_offsets
+from .geometry import Grid, _dot, embed_offsets
 from .ioutil import atomic_write_bytes, atomic_write_text
 
 
@@ -233,7 +233,7 @@ def lp_norm_p(grid: Grid, values: np.ndarray, p: float, region: np.ndarray | Non
     values = np.asarray(values, dtype=float)
     ncell = len(grid.cell_shape)
     if values.ndim == ncell + 1:
-        mag = np.sqrt(np.sum(values * values, axis=-1))
+        mag = np.sqrt(_dot(values, values))
     elif values.ndim == ncell:
         mag = np.abs(values)
     else:

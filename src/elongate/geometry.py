@@ -60,6 +60,22 @@ class CrossSection:
         return 1.0
 
 
+def _dot(a, b) -> np.ndarray:
+    """Sum of ``a * b`` over the last axis, written out component by component.
+
+    On short last axes (the 2 or 3 components of a gradient) this is
+    several times faster than ``np.sum(a * b, axis=-1)`` and, up to three
+    components, adds in the same order.  An empty last axis sums to 0.
+    """
+    n = np.shape(a)[-1]
+    if n == 0:
+        return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b))[:-1])
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, n):
+        out += a[..., i] * b[..., i]
+    return out
+
+
 def gauge(cs: CrossSection, xp) -> np.ndarray | float:
     """Minkowski gauge of the cross-section at horizontal points ``xp``.
 
@@ -73,7 +89,7 @@ def gauge(cs: CrossSection, xp) -> np.ndarray | float:
     if cs.shape == "box":
         out = np.max(np.abs(xp), axis=-1)
     else:
-        out = np.sqrt(np.sum(xp * xp, axis=-1))
+        out = np.sqrt(_dot(xp, xp))
     return float(out) if out.ndim == 0 else out
 
 

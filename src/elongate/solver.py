@@ -3,10 +3,13 @@
 The density picks the path.  Quadratic densities get a matrix-free
 preconditioned linear CG driven by the assembled energy gradient; every
 other density gets preconditioned Polak-Ribiere conjugate gradients with
-restarts and Armijo backtracking.  Line-search energy differences are
-evaluated through cancellation-free per-cell increments, so descent
-remains verifiable far below the round-off floor of naive energy
-subtraction, which is what the tight default tolerances need.
+restarts and an Armijo line search.  Its first step is the safeguarded
+minimizer of the quadratic through the slope at 0 and one probe at twice
+the last accepted step, which makes the search nearly exact, as
+Polak-Ribiere needs.  Line-search energy differences are evaluated
+through cancellation-free per-cell increments, so descent remains
+verifiable far below the round-off floor of naive energy subtraction,
+which is what the tight default tolerances need.
 
 Both paths share one preconditioner: the exact inverse of the quadratic
 Hessian of the grid's bounding box, applied by fast diagonalization
@@ -49,6 +52,8 @@ from .geometry import Grid, cutoff
 _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _INITIAL_STEP = 1.0
+#: The interpolated step stays within this factor of the probe step.
+_INTERP_RANGE = 10.0
 #: Smallest Armijo step attempted before the line search gives up.
 _MIN_STEP = 1e-16
 #: Relative size of an accepted step below which the iterate no longer moves.
@@ -84,6 +89,8 @@ class SolveReport:
     wall_time: float
     method: str
     grad_tol_abs: float
+    #: Line-search energy evaluations; 0 on the linear-CG path.
+    trials: int
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -162,10 +169,10 @@ def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback, precond):
     r = -grad(x)
     rmax = float(np.max(np.abs(r)))
     if rmax <= tol or not math.isfinite(rmax):
-        return x, 0, rmax, rmax <= tol
+        return x, 0, rmax, rmax <= tol, 0
     p = precond(r)
     rz = float((r * p).sum())
-    converged = False
+    exact = True  # r is the assembled residual at x, not the recurrence
     k = 0
     for k in range(1, max_iters + 1):
         # the Hessian product is the gradient of the unloaded energy
@@ -175,50 +182,42 @@ def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback, precond):
             break  # curvature lost to round-off; the true residual check below decides
         alpha = rz / pAp
         x = x + alpha * p
-        if k % 50 == 0:
-            r = -grad(x)
-        else:
-            r = r - alpha * Ap
+        exact = k % 50 == 0
+        r = -grad(x) if exact else r - alpha * Ap
         if callback is not None:
             callback(k, x)
         rmax = float(np.max(np.abs(r)))
         if not math.isfinite(rmax):
             break
-        if rmax <= tol:
+        if rmax <= tol and not exact:
             r = -grad(x)
-            if np.max(np.abs(r)) <= tol:
-                converged = True
-                break
+            rmax = float(np.max(np.abs(r)))
+            exact = True
+        if rmax <= tol:
+            break
         if alpha * float(np.max(np.abs(p))) <= _EPS * float(np.max(np.abs(x))):
             break  # stagnated at the round-off floor: the step no longer moves x
         z = precond(r)
         rz_new = float((r * z).sum())
         p = z + (rz_new / rz) * p
         rz = rz_new
-    gmax = float(np.max(np.abs(grad(x))))
-    return x, k, gmax, converged or gmax <= tol
+    gmax = rmax if exact else float(np.max(np.abs(grad(x))))
+    return x, k, gmax, gmax <= tol, 0
 
 
 def _descent(grid, density, f_cells, x, tol, max_iters, callback, precond):
     vol = grid.cell_volume
     mask = None if grid.cell_mask.all() else grid.cell_mask
     fc = np.broadcast_to(f_cells, grid.cell_shape)
+    trials = 0
 
     def grad(values):
         return _assemble_gradient_arr(grid, values, density, f_cells)
 
-    def increment(Gx, Gd, means_d_sum, alpha):
-        # Energy change along the direction, assembled from per-cell
-        # cancellation-free density increments; accurate at any size.
-        inc = density.value_increment(Gx, alpha * Gd)
-        if mask is not None:
-            inc = np.where(mask, inc, 0.0)
-        return vol * float(inc.sum()) - alpha * means_d_sum
-
     g = grad(x)
     gmax = float(np.max(np.abs(g)))
     if gmax <= tol or not math.isfinite(gmax):
-        return x, 0, gmax, gmax <= tol
+        return x, 0, gmax, gmax <= tol, trials
     z = precond(g)
     gz = float((g * z).sum())
     d = -z
@@ -227,18 +226,38 @@ def _descent(grid, density, f_cells, x, tol, max_iters, callback, precond):
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        Gx = _cell_gradients_arr(grid, x)
-        Gd = _cell_gradients_arr(grid, d)
+        # Energy change along d, assembled from per-cell cancellation-free
+        # density increments; accurate at any step size.
+        line = density.line_increment(_cell_gradients_arr(grid, x), _cell_gradients_arr(grid, d))
         md = fc * _cell_means_arr(d)
         if mask is not None:
             md = np.where(mask, md, 0.0)
         lin_d = vol * float(md.sum())
+
+        def phi(alpha):
+            nonlocal trials
+            trials += 1
+            inc = line(alpha)
+            if mask is not None:
+                inc = np.where(mask, inc, 0.0)
+            return vol * float(inc.sum()) - alpha * lin_d
+
+        # Probe at twice the last step, then try the minimizer of the
+        # quadratic through phi(0) = 0, phi'(0) = m and the probe.  A NaN or
+        # non-convex probe keeps the probe step.
         alpha = step / _BACKTRACK
+        f = phi(alpha)
+        curv = f - m * alpha
+        if curv > 0:
+            best = -0.5 * m * alpha * alpha / curv
+            alpha = min(max(best, alpha / _INTERP_RANGE), alpha * _INTERP_RANGE)
+            f = phi(alpha)
         # written so that a NaN increment is rejected, never accepted
-        while not increment(Gx, Gd, lin_d, alpha) <= _ARMIJO_C1 * alpha * m:
+        while not f <= _ARMIJO_C1 * alpha * m:
             alpha *= _BACKTRACK
             if alpha < _MIN_STEP:  # no acceptable step: iteration k takes none
-                return x, k - 1, gmax, False
+                return x, k - 1, gmax, False, trials
+            f = phi(alpha)
         x = x + alpha * d
         step = alpha
         if callback is not None:
@@ -261,7 +280,7 @@ def _descent(grid, density, f_cells, x, tol, max_iters, callback, precond):
         if m >= 0.0:  # restart: keep the direction a descent direction
             d = -z
             m = -gz
-    return x, k, gmax, converged
+    return x, k, gmax, converged, trials
 
 
 def minimize(
@@ -302,13 +321,13 @@ def minimize(
 
     t0 = time.perf_counter()
     run = _linear_cg if method == "linear-cg" else _descent
-    x, iters, gmax, converged = run(
+    x, iters, gmax, converged, trials = run(
         grid, density, f_cells, x0, tol, opts.max_iters, callback, _box_inverse(grid)
     )
     wall = time.perf_counter() - t0
     field = ScalarField(grid, x)
     energy = _assemble_energy_arr(grid, field.values, density, f_cells)
-    return field, SolveReport(converged, iters, gmax, energy, wall, method, tol)
+    return field, SolveReport(converged, iters, gmax, energy, wall, method, tol, trials)
 
 
 def solve_limit(

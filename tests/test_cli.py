@@ -116,6 +116,7 @@ def test_solve_writes_artifacts(tmp_path):
     report = json.loads((out / "solve-report.json").read_text())
     assert report["solve"]["converged"] is True
     assert report["solve"]["method"] == "linear-cg"
+    assert report["solve"]["trials"] == 0
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

@@ -120,6 +120,9 @@ def test_value_increment_resolves_tiny_steps():
     inc = float(P4.value_increment(xi, delta)[0])
     expected = float(P4.grad(xi[0]) @ delta[0])
     assert inc == pytest.approx(expected, rel=1e-3)
+    # the same step taken along a unit-size direction, as a line search does
+    line = P4.line_increment(xi, delta / 1e-13)
+    assert float(line(1e-13)[0]) == pytest.approx(expected, rel=1e-3)
 
 
 @pytest.mark.parametrize("d", ALL)
@@ -218,6 +221,19 @@ class _ConcaveProbe(EnergyDensity):
 def test_audit_midpoint_flags_concave_probe():
     rep = audit_convexity_midpoint(_ConcaveProbe(), 2000, seed=3)
     assert rep.violations > 0
+
+
+@pytest.mark.parametrize("d", ALL + [_ConcaveProbe()], ids=lambda d: d.kind)
+def test_line_increment_matches_value_increment(d):
+    # built-ins override line_increment; the concave probe uses the base fallback
+    rng = np.random.default_rng(37)
+    xi = rng.standard_normal((200, d.n))
+    delta = rng.standard_normal((200, d.n)) * 10.0 ** rng.uniform(-8, 0, (200, 1))
+    line = d.line_increment(xi, delta)
+    slope = np.abs(np.sum(d.grad(xi) * delta, axis=-1))
+    for a in (1e-6, 0.3, 1.0, 4.0):
+        inc = d.value_increment(xi, a * delta)
+        assert np.all(np.abs(line(a) - inc) <= 1e-13 * (np.abs(inc) + a * slope + a * a * np.abs(d.value(delta))))
 
 
 def test_audits_deterministic():

@@ -250,6 +250,32 @@ def test_ball_solve_matches_dense_solve():
     assert np.max(np.abs(u.values.ravel()[free] - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
+def test_linear_cg_reuses_the_confirming_gradient():
+    # one iteration: initial gradient, one Hessian product, the confirming
+    # gradient, which also gives the reported grad_max
+    class CountingQuadratic(type(make_density("quadratic", r=1, n=2))):
+        calls = 0
+
+        def grad(self, xi):
+            CountingQuadratic.calls += 1
+            return super().grad(xi)
+
+    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
+    u, rep = minimize(grid, CountingQuadratic(r=1, n=2), LOAD2)
+    assert rep.converged and rep.iterations == 1
+    assert CountingQuadratic.calls == 3
+
+
+def test_p4_box_solve_iterations():
+    # the interpolated first step makes the line search near-exact, which
+    # preconditioned Polak-Ribiere CG relies on (69 iterations without it)
+    grid = build_grid(DomainSpec(CS1, 4.0, (1.0,)), 1 / 16)
+    d = make_density("p-dirichlet", 4.0, r=1, n=2)
+    u, rep = minimize(grid, d, LOAD2)
+    assert rep.converged and rep.iterations <= 62
+    assert rep.trials >= rep.iterations
+
+
 def test_stagnated_linear_cg_stops():
     # grad_tol 1e-16 is below the round-off floor of the quadratic solve:
     # the solve stops once its steps no longer move the field
@@ -359,3 +385,4 @@ def test_report_serialization():
     data = rep.to_json()
     assert data["converged"] is True
     assert data["method"] == "linear-cg"
+    assert data["trials"] == 0
