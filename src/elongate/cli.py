@@ -65,6 +65,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     "study": {"ell0": 1.0, "floor": None, "fit_models": ["power", "exponential"]},
     "output": {"directory": "out"},
 }
+_FIT_MODELS = ("power", "exponential")
 
 
 def resolve_config(raw: dict) -> dict:
@@ -96,6 +97,9 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError("domain.cross_section must be 'box' or 'ball'")
     if rc["load"]["kind"] != "constant":
         raise ConfigError("only constant loads are configurable from files")
+    models = rc["study"]["fit_models"]
+    if not isinstance(models, list) or any(m not in _FIT_MODELS for m in models):
+        raise ConfigError(f"study.fit_models must list names from {_FIT_MODELS}, got {models!r}")
     floor = rc["study"]["floor"]
     try:
         if floor is not None and not math.isfinite(float(floor)):
@@ -108,16 +112,23 @@ def resolve_config(raw: dict) -> dict:
     return rc
 
 
+def _config_int(rc: dict, section: str, key: str) -> int:
+    value = rc[section][key]
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {value}")
+    return int(value)
+
+
 def _build_objects(rc: dict):
     dom, grid_cfg = rc["domain"], rc["grid"]
-    cs = CrossSection(dom["cross_section"], int(dom["r"]))
+    cs = CrossSection(dom["cross_section"], _config_int(rc, "domain", "r"))
     n = cs.r + len(dom["vertical_halfwidths"])
     density = make_density(rc["density"]["kind"], rc["density"].get("p"), cs.r, n)
     load = Load.constant(float(rc["load"]["value"]))
     sol = rc["solver"]
     opts = SolveOptions(
         grad_tol=None if sol["grad_tol"] is None else float(sol["grad_tol"]),
-        max_iters=int(sol["max_iters"]),
+        max_iters=_config_int(rc, "solver", "max_iters"),
     )
     sweep = SweepConfig(
         cross_section=cs,

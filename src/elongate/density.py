@@ -59,8 +59,6 @@ class EnergyDensity(abc.ABC):
     """
 
     kind: str = "custom"
-    #: True when the density is exactly the quadratic form, enabling linear CG.
-    quadratic: bool = False
 
     def __init__(self, p: float, k: float, lam: float, Lam: float, beta: float, r: int, n: int):
         if p < 2:
@@ -165,7 +163,6 @@ class PDirichletDensity(EnergyDensity):
             r,
             n,
         )
-        self.quadratic = p == 2
 
     def value(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -216,7 +213,6 @@ class SeparablePowerDensity(EnergyDensity):
             r,
             n,
         )
-        self.quadratic = p == 2
 
     def _blocks(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -269,7 +265,6 @@ class QuadraticDensity(EnergyDensity):
     """The quadratic form ``|xi|^2 / 2`` with certified ``beta = 1/2``."""
 
     kind = "quadratic"
-    quadratic = True
 
     def __init__(self, r: int, n: int, lam=None, Lam=None, beta=None):
         super().__init__(

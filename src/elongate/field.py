@@ -178,24 +178,30 @@ def _assemble_energy_arr(grid: Grid, values: np.ndarray, density, f_cells: np.nd
     return float(grid.cell_volume * integrand.sum())
 
 
-def _assemble_gradient_arr(grid: Grid, values: np.ndarray, density, f_cells: np.ndarray) -> np.ndarray:
-    vol = grid.cell_volume
-    grads = _cell_gradients_arr(grid, values)
-    gF = density.grad(grads) * vol
-    fterm = np.broadcast_to(f_cells, grid.cell_shape) * vol
+def _load_vector(grid: Grid, f_cells: np.ndarray) -> np.ndarray:
+    """Nodal load vector: ``vol * f`` over the in-domain cells, scattered to
+    their corners by the corner mean, zero at every Dirichlet-fixed node."""
+    fterm = np.broadcast_to(f_cells, grid.cell_shape) * grid.cell_volume
     if not grid.cell_mask.all():
-        outside = ~grid.cell_mask
-        np.copyto(gF, 0.0, where=outside[..., None])
-        np.copyto(fterm, 0.0, where=outside)
+        np.copyto(fterm, 0.0, where=~grid.cell_mask)
+    for b in range(grid.n):
+        fterm = _scatter_mean(fterm, b)
+    fterm[grid.dirichlet] = 0.0
+    return fterm
+
+
+def _assemble_gradient_arr(grid: Grid, grads: np.ndarray, density, load_vec: np.ndarray) -> np.ndarray:
+    """Energy gradient from the field's cell gradients and the nodal load vector."""
+    gF = density.grad(grads) * grid.cell_volume
+    if not grid.cell_mask.all():
+        np.copyto(gF, 0.0, where=~grid.cell_mask[..., None])
     out = np.zeros(grid.shape)
     for a in range(grid.n):
         comp = gF[..., a]
         for b in range(grid.n):
             comp = _scatter_diff(comp, b, grid.h[a]) if b == a else _scatter_mean(comp, b)
         out += comp
-    for b in range(grid.n):
-        fterm = _scatter_mean(fterm, b)
-    out -= fterm
+    out -= load_vec
     out[grid.dirichlet] = 0.0
     return out
 
@@ -217,7 +223,9 @@ def assemble_energy_gradient(v: ScalarField, density, load: Load) -> np.ndarray:
     """
     if density.n != v.grid.n:
         raise ValueError(f"density acts on {density.n} components, grid has {v.grid.n}")
-    return _assemble_gradient_arr(v.grid, v.values, density, load_cell_values(v.grid, load))
+    grid = v.grid
+    grads = _cell_gradients_arr(grid, v.values)
+    return _assemble_gradient_arr(grid, grads, density, _load_vector(grid, load_cell_values(grid, load)))
 
 
 def lp_norm_p(grid: Grid, values: np.ndarray, p: float, region: np.ndarray | None = None) -> float:

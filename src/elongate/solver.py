@@ -1,21 +1,20 @@
 """Energy minimization on grids: preconditioned conjugate gradients.
 
-The density picks the path.  Quadratic densities get a matrix-free
-preconditioned linear CG driven by the assembled energy gradient; every
-other density gets preconditioned Polak-Ribiere conjugate gradients with
-restarts and an Armijo line search.  Its first step is the safeguarded
-minimizer of the quadratic through the slope at 0 and one probe at twice
-the last accepted step, which makes the search nearly exact, as
-Polak-Ribiere needs.  Line-search energy differences are evaluated
-through cancellation-free per-cell increments, so descent remains
-verifiable far below the round-off floor of naive energy subtraction,
-which is what the tight default tolerances need.
+Every density goes through one minimizer: preconditioned Polak-Ribiere
+conjugate gradients with restarts and an Armijo line search.  Its first
+step is the safeguarded minimizer of the quadratic through the slope at
+0 and one probe at twice the last accepted step, which makes the search
+nearly exact, as Polak-Ribiere needs, and exact for a quadratic density.
+Line-search energy differences are evaluated through cancellation-free
+per-cell increments, so descent remains verifiable far below the
+round-off floor of naive energy subtraction, which is what the tight
+default tolerances need.
 
-Both paths share one preconditioner: the exact inverse of the quadratic
-Hessian of the grid's bounding box, applied by fast diagonalization
-with sine transforms and restricted to the free nodes.  On box grids
-and on the vertical grid of the limit problem it solves the quadratic
-problem outright; on ball grids and for ``p > 2`` it acts as an H^1
+The preconditioner is the exact inverse of the quadratic Hessian of the
+grid's bounding box, applied by fast diagonalization with sine
+transforms and restricted to the free nodes.  On box grids and on the
+vertical grid of the limit problem it solves the quadratic problem
+outright; on ball grids and for ``p > 2`` it acts as an H^1
 (Sobolev-gradient) preconditioner.
 
 Stopping is on the max-norm of the discrete energy gradient scaled by
@@ -42,7 +41,7 @@ from .field import (
     _assemble_energy_arr,
     _assemble_gradient_arr,
     _cell_gradients_arr,
-    _cell_means_arr,
+    _load_vector,
     assemble_energy,
     load_cell_values,
 )
@@ -53,7 +52,7 @@ _ARMIJO_C1 = 1e-4
 _BACKTRACK = 0.5
 _INITIAL_STEP = 1.0
 #: The interpolated step stays within this factor of the probe step.
-_INTERP_RANGE = 10.0
+_INTERP_RANGE = 1e3
 #: Smallest Armijo step attempted before the line search gives up.
 _MIN_STEP = 1e-16
 #: Relative size of an accepted step below which the iterate no longer moves.
@@ -62,7 +61,7 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Stopping rule shared by both minimizers.
+    """Stopping rule of the minimizer.
 
     ``grad_tol`` is dimensionless; the absolute stopping threshold is
     ``grad_tol * sup|load| * cell volume``.  ``None`` picks the default
@@ -87,9 +86,8 @@ class SolveReport:
     grad_max: float
     energy: float
     wall_time: float
-    method: str
     grad_tol_abs: float
-    #: Line-search energy evaluations; 0 on the linear-CG path.
+    #: Line-search energy evaluations, at least one per iteration.
     trials: int
 
     def to_json(self) -> dict:
@@ -160,61 +158,13 @@ def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _linear_cg(grid, density, f_cells, x, tol, max_iters, callback, precond):
-    zero_load = np.zeros((1,) * grid.n)
-
-    def grad(values):
-        return _assemble_gradient_arr(grid, values, density, f_cells)
-
-    r = -grad(x)
-    rmax = float(np.max(np.abs(r)))
-    if rmax <= tol or not math.isfinite(rmax):
-        return x, 0, rmax, rmax <= tol, 0
-    p = precond(r)
-    rz = float((r * p).sum())
-    exact = True  # r is the assembled residual at x, not the recurrence
-    k = 0
-    for k in range(1, max_iters + 1):
-        # the Hessian product is the gradient of the unloaded energy
-        Ap = _assemble_gradient_arr(grid, p, density, zero_load)
-        pAp = float((p * Ap).sum())
-        if pAp <= 0:
-            break  # curvature lost to round-off; the true residual check below decides
-        alpha = rz / pAp
-        x = x + alpha * p
-        exact = k % 50 == 0
-        r = -grad(x) if exact else r - alpha * Ap
-        if callback is not None:
-            callback(k, x)
-        rmax = float(np.max(np.abs(r)))
-        if not math.isfinite(rmax):
-            break
-        if rmax <= tol and not exact:
-            r = -grad(x)
-            rmax = float(np.max(np.abs(r)))
-            exact = True
-        if rmax <= tol:
-            break
-        if alpha * float(np.max(np.abs(p))) <= _EPS * float(np.max(np.abs(x))):
-            break  # stagnated at the round-off floor: the step no longer moves x
-        z = precond(r)
-        rz_new = float((r * z).sum())
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    gmax = rmax if exact else float(np.max(np.abs(grad(x))))
-    return x, k, gmax, gmax <= tol, 0
-
-
-def _descent(grid, density, f_cells, x, tol, max_iters, callback, precond):
+def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond):
     vol = grid.cell_volume
     mask = None if grid.cell_mask.all() else grid.cell_mask
-    fc = np.broadcast_to(f_cells, grid.cell_shape)
     trials = 0
 
-    def grad(values):
-        return _assemble_gradient_arr(grid, values, density, f_cells)
-
-    g = grad(x)
+    Gx = _cell_gradients_arr(grid, x)
+    g = _assemble_gradient_arr(grid, Gx, density, load_vec)
     gmax = float(np.max(np.abs(g)))
     if gmax <= tol or not math.isfinite(gmax):
         return x, 0, gmax, gmax <= tol, trials
@@ -227,12 +177,11 @@ def _descent(grid, density, f_cells, x, tol, max_iters, callback, precond):
     k = 0
     for k in range(1, max_iters + 1):
         # Energy change along d, assembled from per-cell cancellation-free
-        # density increments; accurate at any step size.
-        line = density.line_increment(_cell_gradients_arr(grid, x), _cell_gradients_arr(grid, d))
-        md = fc * _cell_means_arr(d)
-        if mask is not None:
-            md = np.where(mask, md, 0.0)
-        lin_d = vol * float(md.sum())
+        # density increments; accurate at any step size.  The load term is
+        # linear in the step.
+        Gd = _cell_gradients_arr(grid, d)
+        line = density.line_increment(Gx, Gd)
+        lin_d = float((load_vec * d).sum())
 
         def phi(alpha):
             nonlocal trials
@@ -262,8 +211,22 @@ def _descent(grid, density, f_cells, x, tol, max_iters, callback, precond):
         step = alpha
         if callback is not None:
             callback(k, x)
-        g_new = grad(x)
+        # Cell gradients are linear in the field, so they are carried along
+        # the step and re-derived from x every 50 iterations and before
+        # convergence is accepted.  The line data goes first, so that the
+        # gradient assembly does not add to it.
+        Gd *= alpha
+        Gx += Gd
+        line = Gd = None
+        exact = k % 50 == 0
+        if exact:
+            Gx = _cell_gradients_arr(grid, x)
+        g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
         gmax = float(np.max(np.abs(g_new)))
+        if gmax <= tol and not exact:
+            Gx = _cell_gradients_arr(grid, x)
+            g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
+            gmax = float(np.max(np.abs(g_new)))
         if not math.isfinite(gmax):
             break
         if gmax <= tol:
@@ -293,10 +256,8 @@ def minimize(
 ) -> tuple[ScalarField, SolveReport]:
     """Minimize the discrete energy over admissible fields on the grid.
 
-    The density picks the path: linear CG when ``density.quadratic``,
-    Polak-Ribiere CG otherwise, both preconditioned by the box inverse;
-    ``SolveReport.method`` names the path.  Returns the final field and
-    a report; running out of iterations, a failed line search, a
+    Every density goes through Polak-Ribiere CG preconditioned by the
+    box inverse.  Returns the final field and a report; running out of iterations, a failed line search, a
     stagnated step and a non-finite gradient are reported
     (``converged=False``), not raised.  ``warm_start`` seeds the
     iteration after projection onto the admissible set;
@@ -305,7 +266,6 @@ def minimize(
     opts = opts or SolveOptions()
     if density.n != grid.n:
         raise ValueError(f"density acts on {density.n} components, grid has {grid.n}")
-    method = "linear-cg" if density.quadratic else "nonlinear-cg"
     grad_tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(density)
     tol = grad_tol * load.max_abs(grid) * grid.cell_volume
     f_cells = load_cell_values(grid, load)
@@ -320,14 +280,13 @@ def minimize(
         x0[grid.dirichlet] = 0.0
 
     t0 = time.perf_counter()
-    run = _linear_cg if method == "linear-cg" else _descent
-    x, iters, gmax, converged, trials = run(
-        grid, density, f_cells, x0, tol, opts.max_iters, callback, _box_inverse(grid)
+    x, iters, gmax, converged, trials = _descent(
+        grid, density, _load_vector(grid, f_cells), x0, tol, opts.max_iters, callback, _box_inverse(grid)
     )
     wall = time.perf_counter() - t0
     field = ScalarField(grid, x)
     energy = _assemble_energy_arr(grid, field.values, density, f_cells)
-    return field, SolveReport(converged, iters, gmax, energy, wall, method, tol, trials)
+    return field, SolveReport(converged, iters, gmax, energy, wall, tol, trials)
 
 
 def solve_limit(

@@ -251,11 +251,9 @@ def test_builtin_parameter_table():
     assert (P4.p, P4.k, P4.lam, P4.Lam, P4.beta) == (4.0, 2.0, 0.25, 0.25, 0.0)
     p2 = make_density("p-dirichlet", 2.0, r=1, n=2)
     assert (p2.k, p2.lam, p2.beta) == (0.0, 0.5, 0.5)
-    assert p2.quadratic
     assert (SEP4.k, SEP4.Lam) == (0.0, 0.25)
     assert SEP4.lam == pytest.approx(2.0 ** (1 - 2.0) / 4.0)
     assert (Q.p, Q.k, Q.beta) == (2.0, 0.0, 0.5)
-    assert Q.quadratic and not P4.quadratic
 
 
 def test_make_density_validation():

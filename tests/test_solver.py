@@ -140,7 +140,6 @@ def test_minimize_quadratic_2d():
     u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-10))
     assert rep.converged
     assert rep.grad_max <= rep.grad_tol_abs
-    assert rep.method == "linear-cg"
     # energy must beat the extended limit profile
     vg = build_vertical_grid([1.0], 1 / 8)
     w, _ = solve_limit(vg, d, LOAD2)
@@ -250,9 +249,10 @@ def test_ball_solve_matches_dense_solve():
     assert np.max(np.abs(u.values.ravel()[free] - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
-def test_linear_cg_reuses_the_confirming_gradient():
-    # one iteration: initial gradient, one Hessian product, the confirming
-    # gradient, which also gives the reported grad_max
+def test_one_iteration_solve_gradient_count():
+    # one iteration: the initial gradient, the gradient from the carried
+    # cell gradients and the one re-derived from the iterate to confirm
+    # convergence, which also gives the reported grad_max
     class CountingQuadratic(type(make_density("quadratic", r=1, n=2))):
         calls = 0
 
@@ -263,7 +263,7 @@ def test_linear_cg_reuses_the_confirming_gradient():
     grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
     u, rep = minimize(grid, CountingQuadratic(r=1, n=2), LOAD2)
     assert rep.converged and rep.iterations == 1
-    assert CountingQuadratic.calls == 3
+    assert CountingQuadratic.calls <= 3
 
 
 def test_p4_box_solve_iterations():
@@ -276,7 +276,19 @@ def test_p4_box_solve_iterations():
     assert rep.trials >= rep.iterations
 
 
-def test_stagnated_linear_cg_stops():
+def test_separable_p4_box_solve_converges():
+    # the box inverse fits this density poorly: 463 iterations and 926
+    # trials here (462 and 928 before the single minimizer), against 43
+    # iterations for p-dirichlet on the same grid; the bound leaves 2x headroom
+    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
+    d = make_density("separable-p", 4.0, r=1, n=2)
+    u, rep = minimize(grid, d, LOAD2)
+    assert rep.converged
+    assert rep.trials >= rep.iterations
+    assert rep.iterations <= 1000
+
+
+def test_stagnated_solve_stops():
     # grad_tol 1e-16 is below the round-off floor of the quadratic solve:
     # the solve stops once its steps no longer move the field
     grid = build_grid(DomainSpec(CS1, 4.0, (1.0,)), 1 / 16)
@@ -299,11 +311,14 @@ def test_warm_start_equivalence():
     assert abs(rep_cold.energy - rep_warm.energy) <= 10 * 1e-10 * scale
 
 
-@pytest.mark.parametrize("method", ["nonlinear-cg"])
-def test_descent_methods_monotone_energy(method):
-    grid = build_grid(DomainSpec(CS1, 1.0, (1.0,)), 1 / 4)
-    d = make_density("p-dirichlet", 4.0, r=1, n=2)
-    opts = SolveOptions(grad_tol=1e-7, max_iters=3000)
+@pytest.mark.parametrize("kind,p,ell,h,gtol", [
+    ("p-dirichlet", 4.0, 1.0, 1 / 4, 1e-7),
+    ("quadratic", None, 2.0, 1 / 8, 1e-10),
+], ids=["p-dirichlet", "quadratic"])
+def test_descent_methods_monotone_energy(kind, p, ell, h, gtol):
+    grid = build_grid(DomainSpec(CS1, ell, (1.0,)), h)
+    d = make_density(kind, p, r=1, n=2)
+    opts = SolveOptions(grad_tol=gtol, max_iters=3000)
     energies = []
 
     def track(_k, values):
@@ -311,20 +326,6 @@ def test_descent_methods_monotone_energy(method):
 
     u, rep = minimize(grid, d, LOAD2, opts, callback=track)
     assert rep.converged
-    assert rep.method == method
-    diffs = np.diff(np.array(energies))
-    assert np.all(diffs <= 1e-14 * max(1.0, abs(energies[0])))
-
-
-def test_linear_cg_monotone_energy():
-    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
-    d = make_density("quadratic", r=1, n=2)
-    energies = []
-
-    def track(_k, values):
-        energies.append(assemble_energy(ScalarField(grid, values, project=False), d, LOAD2))
-
-    minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-10), callback=track)
     diffs = np.diff(np.array(energies))
     assert np.all(diffs <= 1e-14 * max(1.0, abs(energies[0])))
 
@@ -384,5 +385,4 @@ def test_report_serialization():
     _, rep = solve_limit(vg, d, LOAD2)
     data = rep.to_json()
     assert data["converged"] is True
-    assert data["method"] == "linear-cg"
-    assert data["trials"] == 0
+    assert data["trials"] >= data["iterations"]
