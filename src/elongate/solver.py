@@ -257,9 +257,9 @@ def minimize(
     """Minimize the discrete energy over admissible fields on the grid.
 
     Every density goes through Polak-Ribiere CG preconditioned by the
-    box inverse.  Returns the final field and a report; running out of iterations, a failed line search, a
-    stagnated step and a non-finite gradient are reported
-    (``converged=False``), not raised.  ``warm_start`` seeds the
+    box inverse.  Returns the final field and a report; running out of
+    iterations, a failed line search, a stagnated step and a non-finite
+    gradient are reported (``converged=False``), not raised.  ``warm_start`` seeds the
     iteration after projection onto the admissible set;
     ``callback(k, values)`` fires after every accepted step.
     """

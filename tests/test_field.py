@@ -93,6 +93,29 @@ def test_energy_gradient_matches_finite_differences(kind, p):
         assert abs(g[i, j] - fd) <= 1e-6 * max(abs(g[i, j]), abs(fd), 1e-8)
 
 
+def test_energy_gradient_matches_finite_differences_on_ball_grid():
+    # masked cells carry neither density nor load, in the energy and in
+    # the nodal load vector of its gradient alike
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
+    assert not grid.cell_mask.all()
+    d = make_density("p-dirichlet", 4.0, r=2, n=3)
+    load = Load.constant(2.0)
+    rng = np.random.default_rng(1)
+    v = ScalarField(grid, rng.standard_normal(grid.shape))
+    g = assemble_energy_gradient(v, d, load)
+    step = 1e-6 * max(1.0, float(np.max(np.abs(v.values))))
+    for idx in map(tuple, np.argwhere(grid.interior)):
+        vp = np.array(v.values)
+        vp[idx] += step
+        vm = np.array(v.values)
+        vm[idx] -= step
+        fd = (
+            assemble_energy(ScalarField(grid, vp, project=False), d, load)
+            - assemble_energy(ScalarField(grid, vm, project=False), d, load)
+        ) / (2 * step)
+        assert abs(g[idx] - fd) <= 1e-6 * max(abs(g[idx]), abs(fd), 1e-8)
+
+
 @pytest.mark.parametrize("kind,p", [("quadratic", None), ("p-dirichlet", 4.0)])
 def test_energy_is_convex_along_segments(kind, p):
     grid = _grid(h=0.25)
