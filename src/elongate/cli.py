@@ -114,8 +114,8 @@ def resolve_config(raw: dict) -> dict:
 
 def _config_int(rc: dict, section: str, key: str) -> int:
     value = rc[section][key]
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{section}.{key} must be finite, got {value}")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{section}.{key} must be a finite integer, got {value}")
     return int(value)
 
 

@@ -126,7 +126,20 @@ class EnergyDensity(abc.ABC):
 
 
 def _pow_diff(S, u, q: float) -> np.ndarray:
-    """``(S + u)**q - S**q`` without cancellation, for ``S >= 0``, ``S + u >= 0``."""
+    """``(S + u)**q - S**q`` without cancellation, for ``S >= 0``, ``S + u >= 0``.
+
+    At ``q = 2`` this is ``u (2S + u)``, exact up to two roundings:
+    ``2S + u = S + (S + u)`` adds two nonnegative terms.  Other exponents
+    take :func:`_pow_diff_log`.
+    """
+    if q == 2:
+        S = np.asarray(S, dtype=float)
+        return u * (2.0 * S + u)
+    return _pow_diff_log(S, u, q)
+
+
+def _pow_diff_log(S, u, q: float) -> np.ndarray:
+    """:func:`_pow_diff` for any ``q``, in log space: ``M^q (1 - (1 - |u|/M)^q)``."""
     S = np.asarray(S, dtype=float)
     u = np.asarray(u, dtype=float)
     M = np.maximum(S, S + u)

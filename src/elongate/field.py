@@ -106,43 +106,48 @@ def _cell_means_arr(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cell_gradients_arr(grid: Grid, values: np.ndarray) -> np.ndarray:
-    comps = []
-    for a in range(grid.n):
-        comp = values
-        for b in range(grid.n):
-            s0 = [slice(None)] * comp.ndim
-            s1 = [slice(None)] * comp.ndim
-            s0[b], s1[b] = slice(0, -1), slice(1, None)
-            if b == a:
-                comp = (comp[tuple(s1)] - comp[tuple(s0)]) / grid.h[a]
-            else:
-                comp = 0.5 * (comp[tuple(s1)] + comp[tuple(s0)])
-        comps.append(comp)
-    return np.stack(comps, axis=-1)
+def _along(axis: int, sl: slice) -> tuple:
+    """Index that applies ``sl`` to ``axis`` and keeps every other axis whole."""
+    return (slice(None),) * axis + (sl,)
 
 
-def _scatter_mean(contrib: np.ndarray, axis: int) -> np.ndarray:
+def _pair(values: np.ndarray, axis: int, op, out=None) -> np.ndarray:
+    """``op`` of the two corners of every cell edge along ``axis``, upper first."""
+    return op(values[_along(axis, slice(1, None))], values[_along(axis, slice(0, -1))], out=out)
+
+
+def _pair_adjoint(contrib: np.ndarray, axis: int, diff: bool) -> np.ndarray:
+    """Adjoint of :func:`_pair` with ``np.subtract`` (``diff``) or ``np.add``:
+    an end node takes its one cell's entry, an inner node two."""
     shape = list(contrib.shape)
     shape[axis] += 1
-    out = np.zeros(shape)
-    s0 = [slice(None)] * out.ndim
-    s1 = [slice(None)] * out.ndim
-    s0[axis], s1[axis] = slice(0, -1), slice(1, None)
-    out[tuple(s0)] += 0.5 * contrib
-    out[tuple(s1)] += 0.5 * contrib
+    out = np.empty(shape)
+    first, last = _along(axis, slice(0, 1)), _along(axis, slice(-1, None))
+    lower, upper = contrib[_along(axis, slice(0, -1))], contrib[_along(axis, slice(1, None))]
+    if diff:
+        np.negative(contrib[first], out=out[first])
+        np.subtract(lower, upper, out=out[_along(axis, slice(1, -1))])
+    else:
+        out[first] = contrib[first]
+        np.add(lower, upper, out=out[_along(axis, slice(1, -1))])
+    out[last] = contrib[last]
     return out
 
 
-def _scatter_diff(contrib: np.ndarray, axis: int, h: float) -> np.ndarray:
-    shape = list(contrib.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    s0 = [slice(None)] * out.ndim
-    s1 = [slice(None)] * out.ndim
-    s0[axis], s1[axis] = slice(0, -1), slice(1, None)
-    out[tuple(s0)] -= contrib / h
-    out[tuple(s1)] += contrib / h
+def _gradient_scales(grid: Grid) -> np.ndarray:
+    """Per-component scale of the unscaled sums and differences: ``1 / (h_a 2^(n-1))``."""
+    return 1.0 / (np.asarray(grid.h) * 2.0 ** (grid.n - 1))
+
+
+def _cell_gradients_arr(grid: Grid, values: np.ndarray) -> np.ndarray:
+    out = np.empty(grid.cell_shape + (grid.n,))
+    for a, scale in enumerate(_gradient_scales(grid)):
+        comp = values
+        for b in range(grid.n):
+            op = np.subtract if b == a else np.add
+            comp = _pair(comp, b, op, out=out[..., a] if b == grid.n - 1 else None)
+            if b == 0:
+                comp *= scale  # on the first, contiguous temporary
     return out
 
 
@@ -181,26 +186,27 @@ def _assemble_energy_arr(grid: Grid, values: np.ndarray, density, f_cells: np.nd
 def _load_vector(grid: Grid, f_cells: np.ndarray) -> np.ndarray:
     """Nodal load vector: ``vol * f`` over the in-domain cells, scattered to
     their corners by the corner mean, zero at every Dirichlet-fixed node."""
-    fterm = np.broadcast_to(f_cells, grid.cell_shape) * grid.cell_volume
+    fterm = np.broadcast_to(f_cells, grid.cell_shape) * (grid.cell_volume / 2.0**grid.n)
     if not grid.cell_mask.all():
         np.copyto(fterm, 0.0, where=~grid.cell_mask)
     for b in range(grid.n):
-        fterm = _scatter_mean(fterm, b)
+        fterm = _pair_adjoint(fterm, b, False)
     fterm[grid.dirichlet] = 0.0
     return fterm
 
 
 def _assemble_gradient_arr(grid: Grid, grads: np.ndarray, density, load_vec: np.ndarray) -> np.ndarray:
     """Energy gradient from the field's cell gradients and the nodal load vector."""
-    gF = density.grad(grads) * grid.cell_volume
-    if not grid.cell_mask.all():
-        np.copyto(gF, 0.0, where=~grid.cell_mask[..., None])
-    out = np.zeros(grid.shape)
-    for a in range(grid.n):
-        comp = gF[..., a]
+    gF = density.grad(grads)
+    outside = None if grid.cell_mask.all() else ~grid.cell_mask
+    out = None
+    for a, scale in enumerate(grid.cell_volume * _gradient_scales(grid)):
+        comp = np.multiply(gF[..., a], scale)
+        if outside is not None:
+            np.copyto(comp, 0.0, where=outside)
         for b in range(grid.n):
-            comp = _scatter_diff(comp, b, grid.h[a]) if b == a else _scatter_mean(comp, b)
-        out += comp
+            comp = _pair_adjoint(comp, b, b == a)
+        out = comp if out is None else np.add(out, comp, out=out)
     out -= load_vec
     out[grid.dirichlet] = 0.0
     return out

@@ -12,10 +12,15 @@ default tolerances need.
 
 The preconditioner is the exact inverse of the quadratic Hessian of the
 grid's bounding box, applied by fast diagonalization with sine
-transforms and restricted to the free nodes.  On box grids and on the
-vertical grid of the limit problem it solves the quadratic problem
-outright; on ball grids and for ``p > 2`` it acts as an H^1
-(Sobolev-gradient) preconditioner.
+transforms and restricted to the free nodes.  Every axis is folded into
+mirror sums and differences before any transform, so the preconditioner
+commutes bit for bit with the mirror flip of every axis and a symmetric
+problem keeps an exactly symmetric iterate (round-off asymmetry costs
+iterations).  Short axes transform with precomputed dense sine
+matrices, long ones with ``rfft``.  On box grids and on the vertical
+grid of the limit problem it solves the quadratic problem outright; on
+ball grids and for ``p > 2`` it acts as an H^1 (Sobolev-gradient)
+preconditioner.
 
 Stopping is on the max-norm of the discrete energy gradient scaled by
 (sup |load|) * (cell volume), keeping one dimensionless tolerance
@@ -27,6 +32,7 @@ the iterate and a non-finite gradient all end the solve with
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -38,6 +44,7 @@ from .density import EnergyDensity
 from .field import (
     Load,
     ScalarField,
+    _along,
     _assemble_energy_arr,
     _assemble_gradient_arr,
     _cell_gradients_arr,
@@ -57,6 +64,9 @@ _INTERP_RANGE = 1e3
 _MIN_STEP = 1e-16
 #: Relative size of an accepted step below which the iterate no longer moves.
 _EPS = float(np.finfo(float).eps)
+#: Axes with at most this many interior nodes take their sine transform from
+#: dense matrices (one BLAS product per parity); longer ones from ``rfft``.
+_DENSE_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -99,17 +109,106 @@ def default_grad_tol(density: EnergyDensity) -> float:
     return 1e-10 if density.p == 2 else 1e-9
 
 
-def _dst1(values: np.ndarray, axis: int) -> np.ndarray:
-    """Twice the DST-I of the interior entries along ``axis``.
+@functools.lru_cache(maxsize=None)
+def _sine_halves(cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DST-I of an axis with ``cells`` cells, split by mode parity.
 
-    Node arrays carry the two boundary entries, which must be zero; the
-    result has the same shape, zero at both ends.  One ``rfft`` of the
-    odd extension gives the transform in its (negated) imaginary part.
+    The full matrix is ``Q[k, j] = sqrt(2 / N) sin(pi k j / N)`` for ``k, j
+    = 1 .. N-1``.  Odd modes are even about the axis midpoint and even
+    modes odd, so the odd-mode rows act on the mirror sums (the middle
+    node last) and the even-mode rows on the mirror differences: the
+    returned blocks are ``Q[odd, :ceil((N-1)/2)]`` and ``Q[even,
+    :floor((N-1)/2)]``.  The argument ``k j`` is reduced in integers to
+    ``[0, N/2]``, so every entry is the correctly signed sine of an angle
+    in ``[0, pi/2]``: ``Q^2 = I`` holds to an ulp for ``N`` a power of two
+    up to 128 (plain ``sin(pi k j / N)`` is off by up to 6e-15 there).
+    Cached per ``N``, which only axes of at most ``_DENSE_MAX`` interior
+    nodes ask for; read-only.
     """
-    inner = [slice(None)] * values.ndim
-    inner[axis] = slice(-2, 0, -1)
-    ext = np.concatenate((values, -values[tuple(inner)]), axis=axis)
-    return -np.fft.rfft(ext, axis=axis).imag
+    table = math.sqrt(2.0 / cells) * np.sin(np.pi / cells * np.arange(cells // 2 + 1))
+    j = np.arange(1, cells)
+    blocks = []
+    for k, width in ((j[0::2], cells // 2), (j[1::2], (cells - 1) // 2)):
+        m = np.outer(k, j[:width]) % (2 * cells)
+        q = table[np.minimum(m % cells, cells - m % cells)]
+        q[m >= cells] *= -1.0
+        q.setflags(write=False)
+        blocks.append(q)
+    return blocks[0], blocks[1]
+
+
+def _rows(q: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """``out = q`` applied to the middle axis of ``x`` of shape ``(pre, m, post)``."""
+    if x.shape[2] == 1:  # one matrix product, not ``pre`` matrix-vector products
+        np.matmul(x[:, :, 0], q.T, out=out[:, :, 0])
+    else:
+        np.matmul(q, x, out=out)
+
+
+def _sine_sums(values: np.ndarray, length: int, place: slice, take: slice, out: np.ndarray) -> None:
+    """``out = sum_j values_j sin(2 pi k j / length)`` over the middle axis, by ``rfft``.
+
+    The values sit at the indices ``place`` of a zero-padded sequence of
+    ``length``; the sums are taken at the indices ``k`` in ``take``.
+    """
+    pre, _, post = values.shape
+    z = np.zeros((pre, length, post))
+    z[:, place] = values
+    np.negative(np.fft.rfft(z, axis=1).imag[:, take], out=out)
+
+
+class _FoldedSine:
+    """The sine transform of the interior nodes of one axis, in mirror-folded form.
+
+    ``fold`` replaces the axis by its mirror sums (the middle node last)
+    followed by its mirror differences, and undoes that.  A flip of
+    the axis leaves the sums bitwise unchanged and negates the
+    differences exactly, and flips of the other axes then permute
+    nothing, so a transform of folded data commutes with every flip bit
+    for bit, whatever the order of its floating-point sums.  Odd modes
+    are even about the midpoint, so ``transform`` maps the sums to the
+    odd modes and the differences to the even modes, stored in that
+    order.  Axes with at most ``_DENSE_MAX`` interior nodes use the
+    orthonormal matrices of :func:`_sine_halves`; longer ones zero-padded
+    ``rfft`` sums, which scale a round trip by ``N / 2``.
+    """
+
+    def __init__(self, cells: int):
+        self.cells = cells
+        self.c = cells // 2  # sums, and odd modes
+        self.h = (cells - 1) // 2  # differences, and even modes
+        dense = cells - 1 <= _DENSE_MAX
+        self.q = _sine_halves(cells) if dense else None
+        self.scale = 1.0 if dense else 0.5 * cells
+
+    def fold(self, x: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+        """Mirror sums, then differences, along ``axis``; ``inverse`` unfolds."""
+        c, h, j = self.c, self.h, self.cells - 1
+        mirror = (slice(0, h), slice(j - 1, c - 1, -1))  # nodes i and N - i
+        folded = (slice(0, h), slice(c, j))
+        src, dst = (folded, mirror) if inverse else (mirror, folded)
+        lo, hi = (x[_along(axis, sl)] for sl in src)
+        y = np.empty(x.shape)
+        np.add(lo, hi, out=y[_along(axis, dst[0])])
+        np.subtract(lo, hi, out=y[_along(axis, dst[1])])
+        if c > h:  # the middle node is its own mirror
+            y[_along(axis, slice(h, c))] = x[_along(axis, slice(h, c))]
+        return y
+
+    def transform(self, x: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+        """Modes of folded values, or with ``inverse`` folded values of modes."""
+        n, c, h = self.cells, self.c, self.h
+        shape = (math.prod(x.shape[:axis]), n - 1, math.prod(x.shape[axis + 1:]))
+        x3, y3 = x.reshape(shape), np.empty(shape)
+        if self.q is not None:
+            for q, part in zip(self.q, (slice(0, c), slice(c, n - 1))):
+                _rows(q.T if inverse else q, x3[:, part], y3[:, part])
+        else:
+            sums, modes, diffs = slice(1, c + 1), slice(1, n, 2), slice(1, h + 1)
+            place, take = (modes, sums) if inverse else (sums, modes)
+            _sine_sums(x3[:, :c], 2 * n, place, take, y3[:, :c])
+            _sine_sums(x3[:, c:], n, diffs, diffs, y3[:, c:])
+        return y3.reshape(x.shape)
 
 
 def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
@@ -119,41 +218,48 @@ def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     on the grid's bounding box is ``vol * sum_a K_a / h_a^2 (x)
     prod_{b != a} M_b`` over the interior nodes, with the 1-D stiffness
     ``K = tridiag(-1, 2, -1)`` and corner-mean mass ``M = tridiag(1, 2,
-    1) / 4``.  Sine vectors diagonalize both (fast diagonalization):
-    the eigenvalues are ``vol * sum_a (4 / h_a^2) sin^2(th_a / 2)
-    prod_{b != a} cos^2(th_b / 2)`` with ``th_a = k_a pi / N_a`` for
-    ``N_a`` cells on axis ``a``.  Two doubled DST-I passes scale by
-    ``2 N_a`` per axis, which the inverse eigenvalues absorb.  The
-    result is zeroed at every Dirichlet node, so the map is symmetric
-    and positive definite on the free nodes of any grid, and exact on
-    box grids.
+    1) / 4``.  Sine vectors diagonalize both (fast diagonalization,
+    Lynch, Rice & Thomas 1964): the eigenvalues are ``vol * sum_a (4 /
+    h_a^2) sin^2(th_a / 2) prod_{b != a} cos^2(th_b / 2)`` with ``th_a =
+    k_a pi / N_a`` for ``N_a`` cells on axis ``a``, listed odd modes
+    first as :class:`_FoldedSine` stores them.  The result is zeroed at
+    every Dirichlet node, so the map is symmetric and positive definite
+    on the free nodes of any grid, exact on box grids, and commutes bit
+    for bit with the mirror flip of every axis.
     """
-    half = [
-        (0.5 * np.pi / m * np.arange(m + 1)).reshape([-1 if b == a else 1 for b in range(grid.n)])
-        for a, m in enumerate(grid.cell_shape)
-    ]
-    lam = np.zeros(grid.shape)
+    axes = [_FoldedSine(m) for m in grid.cell_shape]
+    half = []
+    for a, m in enumerate(grid.cell_shape):
+        k = np.concatenate((np.arange(1, m, 2), np.arange(2, m, 2)))
+        half.append((0.5 * np.pi / m * k).reshape([-1 if b == a else 1 for b in range(grid.n)]))
+    lam = np.zeros(tuple(m - 1 for m in grid.cell_shape))
     for a in range(grid.n):
         term = 4.0 / grid.h[a] ** 2 * np.sin(half[a]) ** 2
         for b in range(grid.n):
             if b != a:
                 term = term * np.cos(half[b]) ** 2
         lam += term
-    lam *= grid.cell_volume * float(np.prod([2.0 * m for m in grid.cell_shape]))
-    inv = np.zeros(grid.shape)
+    inv = 1.0 / (lam * (grid.cell_volume * math.prod(ax.scale for ax in axes)))
     inner = (slice(1, -1),) * grid.n
-    inv[inner] = 1.0 / lam[inner]
-    fixed = grid.dirichlet
+    fixed = grid.dirichlet[inner]
+    fixed = fixed if fixed.any() else None
 
     def apply(residual: np.ndarray) -> np.ndarray:
-        z = residual
-        for a in range(grid.n):
-            z = _dst1(z, a)
+        z = residual[inner]
+        for a, ax in enumerate(axes):
+            z = ax.fold(z, a)
+        for a, ax in enumerate(axes):
+            z = ax.transform(z, a)
         z *= inv
-        for a in range(grid.n):
-            z = _dst1(z, a)
-        z[fixed] = 0.0
-        return z
+        for a, ax in enumerate(axes):
+            z = ax.transform(z, a, inverse=True)
+        for a, ax in enumerate(axes):
+            z = ax.fold(z, a, inverse=True)
+        if fixed is not None:
+            z[fixed] = 0.0
+        out = np.zeros(grid.shape)
+        out[inner] = z
+        return out
 
     return apply
 

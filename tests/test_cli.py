@@ -97,6 +97,19 @@ def test_non_finite_domain_number_is_config_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [("domain", "r", 1.5), ("solver", "max_iters", 2.7)])
+def test_non_integral_config_number_is_config_error(tmp_path, capsys, section, key, value):
+    # int() would truncate: r = 1.5 ran as r = 1 while resolved-config.json said 1.5
+    cfg = _write_config(tmp_path / "c.json", **{section: {key: value}})
+    for command in ("solve", "sweep"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{section}.{key}" in err and "integer" in err
+        assert not out.exists()
+    assert resolve_config({section: {key: float(int(value))}})[section][key] == int(value)
+
+
 def test_unknown_fit_model_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", study={"fit_models": ["powr"]})
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -271,3 +271,24 @@ def test_report_serializes():
     assert data["hypothesis"] == "growth-and-coercivity"
     assert data["samples"] == 400  # four bound families
     assert data["violations"] == 0
+
+
+def test_pow_diff_square_matches_log_form():
+    # at q = 2 (p = 4) the increment is u (2S + u); it must agree with the
+    # log-space form, and with exact rational arithmetic, over the arguments
+    # a line search makes: u = a (2 xi.delta + a |delta|^2), a from 1e-6 to 4
+    from fractions import Fraction
+
+    from elongate.density import _pow_diff, _pow_diff_log
+
+    rng = np.random.default_rng(41)
+    xi = _random_xi(rng, 300, 2)
+    delta = _random_xi(rng, 300, 2)
+    S = np.sum(xi * xi, axis=-1)
+    b2, c = 2.0 * np.sum(xi * delta, axis=-1), np.sum(delta * delta, axis=-1)
+    for a in (1e-6, 1e-3, 0.3, 1.0, 4.0):
+        u = a * (b2 + a * c)
+        fast = _pow_diff(S, u, 2.0)
+        assert np.all(np.abs(fast - _pow_diff_log(S, u, 2.0)) <= 1e-13 * np.abs(fast))
+        exact = [(Fraction(s) + Fraction(v)) ** 2 - Fraction(s) ** 2 for s, v in zip(S, u)]
+        assert all(abs(Fraction(f) - e) <= 4 * 2.0**-52 * abs(e) for f, e in zip(fast, exact))

@@ -21,7 +21,8 @@ from elongate import (
     solve_limit,
     sup_error,
 )
-from elongate.solver import _box_inverse
+from elongate.field import _assemble_gradient_arr, _cell_gradients_arr, _load_vector, load_cell_values
+from elongate.solver import _DENSE_MAX, _FoldedSine, _box_inverse
 
 CS1 = CrossSection("box", 1)
 LOAD2 = Load.constant(2.0)
@@ -202,14 +203,25 @@ def _hessian_product(grid, values):
     return assemble_energy_gradient(ScalarField(grid, values), d, Load.constant(0.0))
 
 
-@pytest.mark.parametrize("r,vertical", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1)])
+def _long_axis_grid(kind):
+    """Grids with an axis longer than ``_DENSE_MAX``: only long axes, or both kinds."""
+    if kind == "long":  # 159 interior nodes
+        return build_vertical_grid((1.0,), 1 / 80)
+    return build_grid(DomainSpec(CS1, 12.0, (1.0,)), 1 / 16)  # 385 x 33 nodes
+
+
+@pytest.mark.parametrize("r,vertical", [(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (0, "long"), (1, "mixed")])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
     # exact oracle: on box grids the preconditioner is the inverse of the
     # assembled quadratic Hessian on the free nodes
-    rng = np.random.default_rng(100 * seed + 10 * r + vertical)
-    grid = _random_box_grid(rng, r, vertical)
-    assert grid.n == 1 or len(set(grid.h)) > 1
+    rng = np.random.default_rng(100 * seed + 10 * r + (vertical if isinstance(vertical, int) else 7))
+    if isinstance(vertical, str):
+        grid = _long_axis_grid(vertical)
+        assert max(grid.shape) - 2 > _DENSE_MAX and (vertical == "long") == (min(grid.shape) - 2 > _DENSE_MAX)
+    else:
+        grid = _random_box_grid(rng, r, vertical)
+        assert grid.n == 1 or len(set(grid.h)) > 1
     apply_inverse = _box_inverse(grid)
     for _ in range(3):
         x = rng.standard_normal(grid.shape)
@@ -220,6 +232,53 @@ def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
         b[grid.dirichlet] = 0.0
         Ab = _hessian_product(grid, apply_inverse(b))
         assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 200])
+def test_folded_sine_round_trip(cells):
+    # both paths, dense (at most _DENSE_MAX interior nodes) and rfft:
+    # fold, transform, transform back and unfold is the identity times the scale
+    ax = _FoldedSine(cells)
+    assert (ax.q is not None) == (cells - 1 <= _DENSE_MAX)
+    x = np.random.default_rng(cells).standard_normal((3, cells - 1, 4))
+    for axis, values in ((1, x), (0, x[0]), (1, x[:, :, 0])):
+        modes = ax.transform(ax.fold(values, axis), axis)
+        back = ax.fold(ax.transform(modes, axis, inverse=True), axis, inverse=True) / ax.scale
+        assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
+    if ax.q is not None and cells & (cells - 1) == 0:
+        # the orthonormal matrix squares to the identity to an ulp; its rows
+        # come out odd modes first
+        eye = np.eye(cells - 1)
+        q = np.empty_like(eye)
+        q[np.r_[0 : cells - 1 : 2, 1 : cells - 1 : 2]] = ax.transform(ax.fold(eye, 0), 0)
+        assert np.max(np.abs(q @ q - eye)) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("kind", ["ball", "long-box"])
+def test_kernels_commute_with_mirror_flips(kind):
+    # the box inverse, the cell gradients and the gradient assembly commute
+    # with the flip of every axis bit for bit (==, not allclose): on the
+    # ball grid every axis takes the dense sine transform, on the box grid
+    # the horizontal axis takes the rfft path
+    if kind == "ball":
+        grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), 1 / 8)
+    else:
+        grid = _long_axis_grid("mixed")
+    apply_inverse = _box_inverse(grid)
+    load_vec = _load_vector(grid, load_cell_values(grid, LOAD2))
+    densities = [make_density(k, p, r=grid.r, n=grid.n) for k, p in (("quadratic", None), ("p-dirichlet", 4.0))]
+    x = np.random.default_rng(5).standard_normal(grid.shape)
+    x[grid.dirichlet] = 0.0
+    z, G = apply_inverse(x), _cell_gradients_arr(grid, x)
+    for a in range(grid.n):
+        xf = np.flip(x, a)
+        assert np.array_equal(apply_inverse(xf), np.flip(z, a))
+        Gf = np.flip(G, a).copy()
+        Gf[..., a] *= -1.0
+        assert np.array_equal(_cell_gradients_arr(grid, xf), Gf)
+        for d in densities:
+            g = _assemble_gradient_arr(grid, G, d, load_vec)
+            assert np.array_equal(_assemble_gradient_arr(grid, Gf, d, load_vec), np.flip(g, a))
 
 
 def test_quadratic_box_solve_is_one_iteration():
@@ -259,6 +318,9 @@ def test_quadratic_ball_solve_iterations():
     # the solve carries cell gradients, but confirms convergence on a
     # gradient assembled from the field itself
     assert rep.grad_max == np.max(np.abs(assemble_energy_gradient(u, d, LOAD2)))
+    # the grid, the load and every kernel are mirror-exact, so is the solution
+    for a in range(grid.n):
+        assert np.array_equal(u.values, np.flip(u.values, a))
 
 
 def test_one_iteration_solve_gradient_count():
