@@ -85,11 +85,10 @@ def resolve_config(raw: dict) -> dict:
         rc[section].update(values)
 
     dom = rc["domain"]
-    ells = [float(e) for e in dom["ell_list"]]
+    ells = _config_list(rc, "domain", "ell_list")
     if not ells or any(b <= a for a, b in zip(ells, ells[1:])):
         raise ConfigError("domain.ell_list must be nonempty and strictly ascending")
-    dom["ell_list"] = ells
-    dom["vertical_halfwidths"] = [float(w) for w in dom["vertical_halfwidths"]]
+    dom["vertical_halfwidths"] = _config_list(rc, "domain", "vertical_halfwidths")
     if "n" in dom and dom["n"] != dom["r"] + len(dom["vertical_halfwidths"]):
         raise ConfigError("domain.n inconsistent with r + len(vertical_halfwidths)")
     dom.pop("n", None)
@@ -100,6 +99,8 @@ def resolve_config(raw: dict) -> dict:
     models = rc["study"]["fit_models"]
     if not isinstance(models, list) or any(m not in _FIT_MODELS for m in models):
         raise ConfigError(f"study.fit_models must list names from {_FIT_MODELS}, got {models!r}")
+    if not isinstance(rc["solver"]["warm_start"], bool):
+        raise ConfigError(f"solver.warm_start must be true or false, got {rc['solver']['warm_start']!r}")
     floor = rc["study"]["floor"]
     try:
         if floor is not None and not math.isfinite(float(floor)):
@@ -112,11 +113,24 @@ def resolve_config(raw: dict) -> dict:
     return rc
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _config_int(rc: dict, section: str, key: str) -> int:
     value = rc[section][key]
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{section}.{key} must be a finite integer, got {value}")
+    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{section}.{key} must be a finite integer, got {value!r}")
     return int(value)
+
+
+def _config_list(rc: dict, section: str, key: str) -> list[float]:
+    """The key's JSON array of numbers as floats, stored back into ``rc``."""
+    values = rc[section][key]
+    if not isinstance(values, list) or not all(_is_number(v) for v in values):
+        raise ConfigError(f"{section}.{key} must be an array of numbers, got {values!r}")
+    rc[section][key] = [float(v) for v in values]
+    return rc[section][key]
 
 
 def _build_objects(rc: dict):
@@ -139,8 +153,8 @@ def _build_objects(rc: dict):
         load=load,
         options=opts,
         ell0=float(rc["study"]["ell0"]),
-        warm_start=bool(sol["warm_start"]),
-        max_nodes=grid_cfg["max_nodes"],
+        warm_start=sol["warm_start"],
+        max_nodes=None if grid_cfg["max_nodes"] is None else _config_int(rc, "grid", "max_nodes"),
     )
     return sweep
 

@@ -13,6 +13,7 @@ which the decay estimates of interest are stated.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -111,41 +112,54 @@ def _along(axis: int, sl: slice) -> tuple:
     return (slice(None),) * axis + (sl,)
 
 
+@functools.lru_cache(maxsize=None)
+def _edges(axis: int) -> tuple[tuple, ...]:
+    """Indices along ``axis``: upper and lower cell corners, first, inner and last node."""
+    return tuple(
+        _along(axis, sl)
+        for sl in (slice(1, None), slice(0, -1), slice(0, 1), slice(1, -1), slice(-1, None))
+    )
+
+
 def _pair(values: np.ndarray, axis: int, op, out=None) -> np.ndarray:
     """``op`` of the two corners of every cell edge along ``axis``, upper first."""
-    return op(values[_along(axis, slice(1, None))], values[_along(axis, slice(0, -1))], out=out)
+    upper, lower = _edges(axis)[:2]
+    return op(values[upper], values[lower], out=out)
 
 
 def _pair_adjoint(contrib: np.ndarray, axis: int, diff: bool) -> np.ndarray:
     """Adjoint of :func:`_pair` with ``np.subtract`` (``diff``) or ``np.add``:
     an end node takes its one cell's entry, an inner node two."""
+    upper, lower, first, inner, last = _edges(axis)
     shape = list(contrib.shape)
     shape[axis] += 1
     out = np.empty(shape)
-    first, last = _along(axis, slice(0, 1)), _along(axis, slice(-1, None))
-    lower, upper = contrib[_along(axis, slice(0, -1))], contrib[_along(axis, slice(1, None))]
     if diff:
         np.negative(contrib[first], out=out[first])
-        np.subtract(lower, upper, out=out[_along(axis, slice(1, -1))])
+        np.subtract(contrib[lower], contrib[upper], out=out[inner])
     else:
         out[first] = contrib[first]
-        np.add(lower, upper, out=out[_along(axis, slice(1, -1))])
+        np.add(contrib[lower], contrib[upper], out=out[inner])
     out[last] = contrib[last]
     return out
 
 
-def _gradient_scales(grid: Grid) -> np.ndarray:
-    """Per-component scale of the unscaled sums and differences: ``1 / (h_a 2^(n-1))``."""
-    return 1.0 / (np.asarray(grid.h) * 2.0 ** (grid.n - 1))
+@functools.lru_cache(maxsize=64)
+def _gradient_scales(h: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Per-component scale of the unscaled sums and differences, ``1 / (h_a
+    2^(n-1))``, and the same times the cell volume; cached by spacing."""
+    scales = 1.0 / (np.asarray(h) * 2.0 ** (len(h) - 1))
+    return tuple(scales.tolist()), tuple((float(np.prod(h)) * scales).tolist())
 
 
 def _cell_gradients_arr(grid: Grid, values: np.ndarray) -> np.ndarray:
-    out = np.empty(grid.cell_shape + (grid.n,))
-    for a, scale in enumerate(_gradient_scales(grid)):
+    n = grid.n
+    out = np.empty(grid.cell_shape + (n,))
+    for a, scale in enumerate(_gradient_scales(grid.h)[0]):
         comp = values
-        for b in range(grid.n):
+        for b in range(n):
             op = np.subtract if b == a else np.add
-            comp = _pair(comp, b, op, out=out[..., a] if b == grid.n - 1 else None)
+            comp = _pair(comp, b, op, out=out[..., a] if b == n - 1 else None)
             if b == 0:
                 comp *= scale  # on the first, contiguous temporary
     return out
@@ -178,7 +192,7 @@ def load_cell_values(grid: Grid, load: Load) -> np.ndarray:
 def _assemble_energy_arr(grid: Grid, values: np.ndarray, density, f_cells: np.ndarray) -> float:
     grads = _cell_gradients_arr(grid, values)
     integrand = density.value(grads) - f_cells * _cell_means_arr(values)
-    if not grid.cell_mask.all():
+    if grid.outside_cells is not None:
         integrand = np.where(grid.cell_mask, integrand, 0.0)
     return float(grid.cell_volume * integrand.sum())
 
@@ -187,8 +201,8 @@ def _load_vector(grid: Grid, f_cells: np.ndarray) -> np.ndarray:
     """Nodal load vector: ``vol * f`` over the in-domain cells, scattered to
     their corners by the corner mean, zero at every Dirichlet-fixed node."""
     fterm = np.broadcast_to(f_cells, grid.cell_shape) * (grid.cell_volume / 2.0**grid.n)
-    if not grid.cell_mask.all():
-        np.copyto(fterm, 0.0, where=~grid.cell_mask)
+    if grid.outside_cells is not None:
+        np.copyto(fterm, 0.0, where=grid.outside_cells)
     for b in range(grid.n):
         fterm = _pair_adjoint(fterm, b, False)
     fterm[grid.dirichlet] = 0.0
@@ -198,9 +212,9 @@ def _load_vector(grid: Grid, f_cells: np.ndarray) -> np.ndarray:
 def _assemble_gradient_arr(grid: Grid, grads: np.ndarray, density, load_vec: np.ndarray) -> np.ndarray:
     """Energy gradient from the field's cell gradients and the nodal load vector."""
     gF = density.grad(grads)
-    outside = None if grid.cell_mask.all() else ~grid.cell_mask
+    outside = grid.outside_cells
     out = None
-    for a, scale in enumerate(grid.cell_volume * _gradient_scales(grid)):
+    for a, scale in enumerate(_gradient_scales(grid.h)[1]):
         comp = np.multiply(gF[..., a], scale)
         if outside is not None:
             np.copyto(comp, 0.0, where=outside)

@@ -12,6 +12,7 @@ mutate after construction and may be shared freely between tasks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -152,7 +153,8 @@ class Grid:
     sweep.
 
     ``r == 0`` denotes a purely vertical grid (no horizontal axes),
-    used for the limit problem on the fixed box.
+    used for the limit problem on the fixed box.  Derived quantities are
+    computed on first use and kept on the grid.
     """
 
     r: int
@@ -172,13 +174,22 @@ class Grid:
     def n(self) -> int:
         return len(self.shape)
 
-    @property
+    @functools.cached_property
     def cell_shape(self) -> tuple[int, ...]:
         return tuple(m - 1 for m in self.shape)
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
+
+    @functools.cached_property
+    def outside_cells(self) -> np.ndarray | None:
+        """Mask of the cells outside the domain, or ``None`` when there are none."""
+        if self.cell_mask.all():
+            return None
+        out = ~self.cell_mask
+        out.setflags(write=False)
+        return out
 
     @property
     def node_count(self) -> int:

@@ -137,14 +137,6 @@ def _sine_halves(cells: int) -> tuple[np.ndarray, np.ndarray]:
     return blocks[0], blocks[1]
 
 
-def _rows(q: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
-    """``out = q`` applied to the middle axis of ``x`` of shape ``(pre, m, post)``."""
-    if x.shape[2] == 1:  # one matrix product, not ``pre`` matrix-vector products
-        np.matmul(x[:, :, 0], q.T, out=out[:, :, 0])
-    else:
-        np.matmul(q, x, out=out)
-
-
 def _sine_sums(values: np.ndarray, length: int, place: slice, take: slice, out: np.ndarray) -> None:
     """``out = sum_j values_j sin(2 pi k j / length)`` over the middle axis, by ``rfft``.
 
@@ -158,7 +150,7 @@ def _sine_sums(values: np.ndarray, length: int, place: slice, take: slice, out: 
 
 
 class _FoldedSine:
-    """The sine transform of the interior nodes of one axis, in mirror-folded form.
+    """The sine transform along one axis of an array of fixed shape, in mirror-folded form.
 
     ``fold`` replaces the axis by its mirror sums (the middle node last)
     followed by its mirror differences, and undoes that.  A flip of
@@ -170,45 +162,66 @@ class _FoldedSine:
     odd modes and the differences to the even modes, stored in that
     order.  Axes with at most ``_DENSE_MAX`` interior nodes use the
     orthonormal matrices of :func:`_sine_halves`; longer ones zero-padded
-    ``rfft`` sums, which scale a round trip by ``N / 2``.
+    ``rfft`` sums, which scale a round trip by ``N / 2``.  Every index,
+    view shape and matrix orientation is fixed at construction, so a
+    call does only the arithmetic; both methods write into ``out``.
     """
 
-    def __init__(self, cells: int):
-        self.cells = cells
-        self.c = cells // 2  # sums, and odd modes
-        self.h = (cells - 1) // 2  # differences, and even modes
-        dense = cells - 1 <= _DENSE_MAX
-        self.q = _sine_halves(cells) if dense else None
+    def __init__(self, shape: tuple[int, ...], axis: int):
+        j = shape[axis]  # interior nodes
+        self.cells = cells = j + 1
+        c, h = cells // 2, j // 2  # sums and odd modes, differences and even modes
+        # nodes i and N - i
+        mirror = (_along(axis, slice(0, h)), _along(axis, slice(j - 1, c - 1, -1)))
+        folded = (_along(axis, slice(0, h)), _along(axis, slice(c, j)))
+        #: (sources, destinations) of the fold, then of its inverse
+        self.folds = ((mirror, folded), (folded, mirror))
+        self.middle = _along(axis, slice(h, c)) if c > h else None  # its own mirror
+        self.shape3 = (math.prod(shape[:axis]), j, math.prod(shape[axis + 1:]))
+        # one matrix product, not ``pre`` matrix-vector products
+        self.flat = self.shape3[2] == 1
+        parts = (slice(0, c), slice(c, j))
+        dense = j <= _DENSE_MAX
         self.scale = 1.0 if dense else 0.5 * cells
-
-    def fold(self, x: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
-        """Mirror sums, then differences, along ``axis``; ``inverse`` unfolds."""
-        c, h, j = self.c, self.h, self.cells - 1
-        mirror = (slice(0, h), slice(j - 1, c - 1, -1))  # nodes i and N - i
-        folded = (slice(0, h), slice(c, j))
-        src, dst = (folded, mirror) if inverse else (mirror, folded)
-        lo, hi = (x[_along(axis, sl)] for sl in src)
-        y = np.empty(x.shape)
-        np.add(lo, hi, out=y[_along(axis, dst[0])])
-        np.subtract(lo, hi, out=y[_along(axis, dst[1])])
-        if c > h:  # the middle node is its own mirror
-            y[_along(axis, slice(h, c))] = x[_along(axis, slice(h, c))]
-        return y
-
-    def transform(self, x: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
-        """Modes of folded values, or with ``inverse`` folded values of modes."""
-        n, c, h = self.cells, self.c, self.h
-        shape = (math.prod(x.shape[:axis]), n - 1, math.prod(x.shape[axis + 1:]))
-        x3, y3 = x.reshape(shape), np.empty(shape)
-        if self.q is not None:
-            for q, part in zip(self.q, (slice(0, c), slice(c, n - 1))):
-                _rows(q.T if inverse else q, x3[:, part], y3[:, part])
+        self.products = self.sines = None
+        if dense:
+            # ``x @ q.T`` on a flat array, ``q @ x`` otherwise, and the
+            # transposes for the inverse; as views, never contiguous copies,
+            # so each product keeps its BLAS call and its round-off
+            halves = list(zip(_sine_halves(cells), parts))
+            self.products = tuple(
+                tuple((q.T if self.flat != inverse else q, part) for q, part in halves)
+                for inverse in (False, True)
+            )
         else:
-            sums, modes, diffs = slice(1, c + 1), slice(1, n, 2), slice(1, h + 1)
-            place, take = (modes, sums) if inverse else (sums, modes)
-            _sine_sums(x3[:, :c], 2 * n, place, take, y3[:, :c])
-            _sine_sums(x3[:, c:], n, diffs, diffs, y3[:, c:])
-        return y3.reshape(x.shape)
+            sums, modes, diffs = slice(1, c + 1), slice(1, cells, 2), slice(1, h + 1)
+            self.sines = tuple(
+                ((2 * cells, place, take, parts[0]), (cells, diffs, diffs, parts[1]))
+                for place, take in ((sums, modes), (modes, sums))
+            )
+
+    def fold(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Mirror sums, then differences, along the axis; ``inverse`` unfolds."""
+        (lo, hi), (plus, minus) = self.folds[inverse]
+        np.add(x[lo], x[hi], out=out[plus])
+        np.subtract(x[lo], x[hi], out=out[minus])
+        if self.middle is not None:
+            out[self.middle] = x[self.middle]
+        return out
+
+    def transform(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Modes of folded values, or with ``inverse`` folded values of modes."""
+        x3, y3 = x.reshape(self.shape3), out.reshape(self.shape3)
+        if self.sines is not None:
+            for length, place, take, part in self.sines[inverse]:
+                _sine_sums(x3[:, part], length, place, take, y3[:, part])
+        elif self.flat:
+            for q, part in self.products[inverse]:
+                np.matmul(x3[:, part, 0], q, out=y3[:, part, 0])
+        else:
+            for q, part in self.products[inverse]:
+                np.matmul(q, x3[:, part], out=y3[:, part])
+        return out
 
 
 def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
@@ -225,14 +238,17 @@ def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     first as :class:`_FoldedSine` stores them.  The result is zeroed at
     every Dirichlet node, so the map is symmetric and positive definite
     on the free nodes of any grid, exact on box grids, and commutes bit
-    for bit with the mirror flip of every axis.
+    for bit with the mirror flip of every axis.  Everything but the
+    arithmetic is set up here, once per solve; each application
+    ping-pongs between two interior-size arrays of its own.
     """
-    axes = [_FoldedSine(m) for m in grid.cell_shape]
+    shape = tuple(m - 1 for m in grid.cell_shape)
+    axes = [_FoldedSine(shape, a) for a in range(grid.n)]
     half = []
     for a, m in enumerate(grid.cell_shape):
         k = np.concatenate((np.arange(1, m, 2), np.arange(2, m, 2)))
         half.append((0.5 * np.pi / m * k).reshape([-1 if b == a else 1 for b in range(grid.n)]))
-    lam = np.zeros(tuple(m - 1 for m in grid.cell_shape))
+    lam = np.zeros(shape)
     for a in range(grid.n):
         term = 4.0 / grid.h[a] ** 2 * np.sin(half[a]) ** 2
         for b in range(grid.n):
@@ -245,20 +261,21 @@ def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     fixed = fixed if fixed.any() else None
 
     def apply(residual: np.ndarray) -> np.ndarray:
-        z = residual[inner]
-        for a, ax in enumerate(axes):
-            z = ax.fold(z, a)
-        for a, ax in enumerate(axes):
-            z = ax.transform(z, a)
+        # every step reads z and writes the other array, which then becomes z
+        z, w = axes[0].fold(residual[inner], np.empty(shape)), np.empty(shape)
+        for ax in axes[1:]:
+            z, w = ax.fold(z, w), z
+        for ax in axes:
+            z, w = ax.transform(z, w), z
         z *= inv
-        for a, ax in enumerate(axes):
-            z = ax.transform(z, a, inverse=True)
-        for a, ax in enumerate(axes):
-            z = ax.fold(z, a, inverse=True)
-        if fixed is not None:
-            z[fixed] = 0.0
+        for ax in axes:
+            z, w = ax.transform(z, w, inverse=True), z
+        for ax in axes[:-1]:
+            z, w = ax.fold(z, w, inverse=True), z
         out = np.zeros(grid.shape)
-        out[inner] = z
+        core = axes[-1].fold(z, out[inner], inverse=True)
+        if fixed is not None:
+            core[fixed] = 0.0
         return out
 
     return apply
@@ -266,7 +283,7 @@ def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
 
 def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond):
     vol = grid.cell_volume
-    mask = None if grid.cell_mask.all() else grid.cell_mask
+    mask = None if grid.outside_cells is None else grid.cell_mask
     trials = 0
 
     Gx = _cell_gradients_arr(grid, x)
@@ -343,11 +360,12 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond):
         z_new = precond(g_new)
         gz_new = float((g_new * z_new).sum())
         beta = max(0.0, (gz_new - float((g_new * z).sum())) / gz)
-        d = -z_new + beta * d
+        d *= beta  # d = -z_new + beta * d, in place
+        d -= z_new
         g, z, gz = g_new, z_new, gz_new
         m = float((g * d).sum())
         if m >= 0.0:  # restart: keep the direction a descent direction
-            d = -z
+            np.negative(z, out=d)
             m = -gz
     return x, k, gmax, converged, trials
 

@@ -110,6 +110,23 @@ def test_non_integral_config_number_is_config_error(tmp_path, capsys, section, k
     assert resolve_config({section: {key: float(int(value))}})[section][key] == int(value)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("solver", "warm_start", "false"),  # bool("false") is True: ran warm
+    ("solver", "warm_start", 0),
+    ("domain", "ell_list", "234"),  # iterated as ell = 2, 3, 4
+    ("domain", "vertical_halfwidths", "1"),
+    ("grid", "max_nodes", 1000.5),  # passed as "budget 1000.5"
+    ("grid", "max_nodes", "1000"),
+])
+def test_wrong_config_type_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = _write_config(tmp_path / "c.json", **{section: {key: value}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{section}.{key}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_fit_model_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", study={"fit_models": ["powr"]})
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

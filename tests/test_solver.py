@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import elongate
 from elongate import (
     CrossSection,
     DomainSpec,
@@ -236,21 +240,25 @@ def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
 
 @pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 200])
 def test_folded_sine_round_trip(cells):
-    # both paths, dense (at most _DENSE_MAX interior nodes) and rfft:
-    # fold, transform, transform back and unfold is the identity times the scale
-    ax = _FoldedSine(cells)
-    assert (ax.q is not None) == (cells - 1 <= _DENSE_MAX)
+    # both paths, dense (at most _DENSE_MAX interior nodes) and rfft, with the
+    # axis in the middle, first and last (flat) position: fold, transform,
+    # transform back and unfold is the identity times the scale
     x = np.random.default_rng(cells).standard_normal((3, cells - 1, 4))
     for axis, values in ((1, x), (0, x[0]), (1, x[:, :, 0])):
-        modes = ax.transform(ax.fold(values, axis), axis)
-        back = ax.fold(ax.transform(modes, axis, inverse=True), axis, inverse=True) / ax.scale
+        ax = _FoldedSine(values.shape, axis)
+        assert ax.cells == cells and (ax.products is not None) == (cells - 1 <= _DENSE_MAX)
+        a, b = np.empty(values.shape), np.empty(values.shape)
+        modes = ax.transform(ax.fold(values, a), b)
+        back = ax.fold(ax.transform(modes, a, inverse=True), b, inverse=True) / ax.scale
         assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
-    if ax.q is not None and cells & (cells - 1) == 0:
+    if ax.products is not None and cells & (cells - 1) == 0:
         # the orthonormal matrix squares to the identity to an ulp; its rows
         # come out odd modes first
         eye = np.eye(cells - 1)
+        ax = _FoldedSine(eye.shape, 0)
         q = np.empty_like(eye)
-        q[np.r_[0 : cells - 1 : 2, 1 : cells - 1 : 2]] = ax.transform(ax.fold(eye, 0), 0)
+        modes = ax.transform(ax.fold(eye, np.empty_like(eye)), np.empty_like(eye))
+        q[np.r_[0 : cells - 1 : 2, 1 : cells - 1 : 2]] = modes
         assert np.max(np.abs(q @ q - eye)) <= np.finfo(float).eps
 
 
@@ -279,6 +287,82 @@ def test_kernels_commute_with_mirror_flips(kind):
         for d in densities:
             g = _assemble_gradient_arr(grid, G, d, load_vec)
             assert np.array_equal(_assemble_gradient_arr(grid, Gf, d, load_vec), np.flip(g, a))
+
+
+#: Pairs of grids of one shape: different vertical spacings (1/8 and
+#: 0.11875), and a box against a ball cross-section (masked cells, more
+#: fixed nodes).
+_SAME_SHAPE_GRIDS = (
+    (CS1, 2.0, 1.0, 1 / 8), (CS1, 2.0, 0.95, 1 / 8),
+    (CrossSection("box", 2), 1.0, 1.0, 1 / 4), (CrossSection("ball", 2), 1.0, 1.0, 1 / 4),
+)
+
+
+def _same_shape_grid(i):
+    cs, ell, halfwidth, h = _SAME_SHAPE_GRIDS[i]
+    return build_grid(DomainSpec(cs, ell, (halfwidth,)), h)
+
+
+def _kernel_results(grid):
+    """Cell gradients, gradient assembly (quadratic and p = 4) and box inverse
+    of a field drawn from the grid's shape."""
+    x = np.random.default_rng(grid.node_count).standard_normal(grid.shape)
+    x[grid.dirichlet] = 0.0
+    G = _cell_gradients_arr(grid, x)
+    load_vec = _load_vector(grid, load_cell_values(grid, LOAD2))
+    assembled = [
+        _assemble_gradient_arr(grid, G, make_density(k, p, r=grid.r, n=grid.n), load_vec)
+        for k, p in (("quadratic", None), ("p-dirichlet", 4.0))
+    ]
+    return [G, *assembled, _box_inverse(grid)(x)]
+
+
+def _save_kernel_results(indices, path):
+    np.savez(path, *(a for i in indices for a in _kernel_results(_same_shape_grid(i))))
+
+
+def test_kernel_set_up_does_not_leak_across_grids(tmp_path):
+    # calls interleaved across the grids of a pair, in a process that has
+    # seen many grids, give what new interpreters give, each of which sees
+    # one grid of each pair (one 2-D and one 3-D grid)
+    paths = [os.path.dirname(os.path.dirname(elongate.__file__)), os.path.dirname(__file__)]
+    pairs = ((0, 1), (2, 3))
+    children = [
+        subprocess.Popen([sys.executable, "-c", f"import sys; sys.path[:0] = {paths!r}; import test_solver; "
+                          f"test_solver._save_kernel_results({indices!r}, {str(tmp_path / f'{k}.npz')!r})"])
+        for k, indices in enumerate(zip(*pairs))
+    ]
+    assert [child.wait() for child in children] == [0, 0]
+    fresh = {}
+    for k, indices in enumerate(zip(*pairs)):
+        with np.load(tmp_path / f"{k}.npz") as saved:
+            arrays = [saved[name] for name in saved.files]
+        for j, i in enumerate(indices):
+            fresh[i] = arrays[4 * j : 4 * j + 4]
+    for pair in pairs:
+        grids = [_same_shape_grid(i) for i in pair]
+        assert grids[0].shape == grids[1].shape
+        for _ in range(2):
+            for i, grid in zip(pair, grids):
+                for got, want in zip(_kernel_results(grid), fresh[i], strict=True):
+                    assert np.array_equal(got, want)
+
+
+def test_callback_arrays_do_not_change_afterwards():
+    # the field passed at step k stays as it was passed, whatever the solver
+    # does in place at later steps
+    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
+    d = make_density("p-dirichlet", 4.0, r=1, n=2)
+    seen, copies = [], []
+
+    def keep(_k, values):
+        seen.append(values)
+        copies.append(np.array(values))
+
+    u, rep = minimize(grid, d, LOAD2, callback=keep)
+    assert rep.converged and len(seen) == rep.iterations > 1
+    assert all(np.array_equal(a, b) for a, b in zip(seen, copies))
+    assert np.array_equal(seen[-1], u.values)
 
 
 def test_quadratic_box_solve_is_one_iteration():
