@@ -17,10 +17,11 @@ mirror sums and differences before any transform, so the preconditioner
 commutes bit for bit with the mirror flip of every axis and a symmetric
 problem keeps an exactly symmetric iterate (round-off asymmetry costs
 iterations).  Short axes transform with precomputed dense sine
-matrices, long ones with ``rfft``.  On box grids and on the vertical
-grid of the limit problem it solves the quadratic problem outright; on
-ball grids and for ``p > 2`` it acts as an H^1 (Sobolev-gradient)
-preconditioner.
+matrices, long ones with ``rfft``.  Its indices, view shapes and
+matrices are set up once per solve, so an application does only the
+arithmetic.  On box grids and on the vertical grid of the limit problem
+it solves the quadratic problem outright; on ball grids and for ``p >
+2`` it acts as an H^1 (Sobolev-gradient) preconditioner.
 
 Stopping is on the max-norm of the discrete energy gradient scaled by
 (sup |load|) * (cell volume), keeping one dimensionless tolerance
