@@ -4,7 +4,8 @@ One JSON config file drives each run (reproducibility over convenience;
 the only environment variable honored is ``ELONGATE_THREADS`` for the
 parallelism degree).  Every output is written atomically, and the
 resolved config is emitted alongside the artifacts so a run can be
-reproduced exactly.
+reproduced exactly.  ``solve`` and ``profile`` run the sweep over the
+largest elongation alone, so every command solves through one path.
 
 Exit codes: 0 success, 1 config/usage error, 2 solver failure,
 3 verdict or audit failure.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -29,9 +31,9 @@ from .density import (
     make_density,
 )
 from .field import Load, extend_vertical, save_field
-from .geometry import CrossSection, DomainSpec, NodeBudgetError, build_grid, build_vertical_grid
+from .geometry import CrossSection, DomainSpec, build_grid
 from .ioutil import atomic_write_text
-from .solver import SolveOptions, default_grad_tol, minimize, minimality_audit, solve_limit
+from .solver import SolveOptions, default_grad_tol, minimality_audit
 from .study import (
     SweepConfig,
     convergence_verdicts,
@@ -184,25 +186,15 @@ def _dry_run(sweep: SweepConfig) -> int:
     return EXIT_OK
 
 
-def _solve_with_audit(sweep: SweepConfig, ell: float):
-    dom = DomainSpec(sweep.cross_section, ell, sweep.vertical_halfwidths)
-    grid = build_grid(dom, sweep.target_h, sweep.max_nodes)
-    vgrid = build_vertical_grid(sweep.vertical_halfwidths, sweep.target_h, sweep.max_nodes)
-    w, wrep = solve_limit(vgrid, sweep.density, sweep.load, sweep.options)
-    u, rep = minimize(grid, sweep.density, sweep.load, sweep.options)
+def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
+    ell = sweep.ells[-1]
+    result = run_sweep(dataclasses.replace(sweep, ells=(ell,)))
+    grid, u = result.final_grid, result.final_field
+    rep, wrep = result.final_report, result.limit_report
     audit = minimality_audit(
-        u, grid, sweep.density, sweep.load, extend_vertical(w, grid),
+        u, grid, sweep.density, sweep.load, extend_vertical(result.limit, grid),
         grad_tol=sweep.options.grad_tol,
     )
-    return grid, u, rep, w, wrep, audit
-
-
-def cmd_solve(rc: dict, out: str, dry: bool) -> int:
-    sweep = _build_objects(rc)
-    if dry:
-        return _dry_run(sweep)
-    ell = sweep.ells[-1]
-    grid, u, rep, w, wrep, audit = _solve_with_audit(sweep, ell)
     os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
     save_field(u, os.path.join(out, "field"))
@@ -226,10 +218,7 @@ def cmd_solve(rc: dict, out: str, dry: bool) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(rc: dict, out: str, dry: bool) -> int:
-    sweep = _build_objects(rc)
-    if dry:
-        return _dry_run(sweep)
+def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
     result = run_sweep(sweep)
     records = result.records
     os.makedirs(out, exist_ok=True)
@@ -281,17 +270,15 @@ def cmd_sweep(rc: dict, out: str, dry: bool) -> int:
     return EXIT_OK
 
 
-def cmd_profile(rc: dict, out: str, dry: bool) -> int:
-    sweep = _build_objects(rc)
-    if dry:
-        return _dry_run(sweep)
+def cmd_profile(rc: dict, sweep: SweepConfig, out: str) -> int:
     ell = sweep.ells[-1]
-    grid, u, rep, w, wrep, _ = _solve_with_audit(sweep, ell)
-    if not (rep.converged and wrep.converged):
+    result = run_sweep(dataclasses.replace(sweep, ells=(ell,)))
+    if not result.records[-1].converged:
         print("solver did not converge", file=sys.stderr)
         return EXIT_SOLVER
     t_values = np.arange(1.0, math.floor(ell) + 1.0)
-    profile = decay_profile(u, extend_vertical(w, grid), sweep.density.p, t_values)
+    limit_ext = extend_vertical(result.limit, result.final_grid)
+    profile = decay_profile(result.final_field, limit_ext, sweep.density.p, t_values)
     os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
     atomic_write_text(os.path.join(out, "profile.csv"), profile.to_csv())
@@ -352,13 +339,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "audit-density":
             return cmd_audit_density(args)
         rc = _load_config(args.config)
+        sweep = _build_objects(rc)
+        if args.dry_run:
+            return _dry_run(sweep)
         out = args.out or rc["output"]["directory"]
         handler = {"solve": cmd_solve, "sweep": cmd_sweep, "profile": cmd_profile}[args.command]
-        return handler(rc, out, args.dry_run)
-    except (ConfigError, NodeBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+        return handler(rc, sweep, out)
+    except ValueError as exc:  # ConfigError, NodeBudgetError and invalid values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

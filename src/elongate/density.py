@@ -195,10 +195,6 @@ class PDirichletDensity(EnergyDensity):
         xi = np.asarray(xi, dtype=float)
         return _scaled(_sq(xi) ** ((self.p - 2) / 2), xi)
 
-    def vertical(self, xi_v):
-        xi_v = np.asarray(xi_v, dtype=float)
-        return _sq(xi_v) ** (self.p / 2) / self.p
-
     def coupling(self, xi):
         xi = np.asarray(xi, dtype=float)
         return _pow_diff(_sq(xi[..., self.r:]), _sq(xi[..., : self.r]), self.p / 2) / self.p
@@ -255,10 +251,6 @@ class SeparablePowerDensity(EnergyDensity):
         _scaled(Sv**e, xi[..., self.r:], out[..., self.r:])
         return out
 
-    def vertical(self, xi_v):
-        xi_v = np.asarray(xi_v, dtype=float)
-        return _sq(xi_v) ** (self.p / 2) / self.p
-
     def coupling(self, xi):
         xi = np.asarray(xi, dtype=float)
         return _sq(xi[..., : self.r]) ** (self.p / 2) / self.p
@@ -305,9 +297,6 @@ class QuadraticDensity(EnergyDensity):
 
     def grad(self, xi):
         return np.array(xi, dtype=float)
-
-    def vertical(self, xi_v):
-        return 0.5 * _sq(np.asarray(xi_v, dtype=float))
 
     def coupling(self, xi):
         xi = np.asarray(xi, dtype=float)

@@ -294,7 +294,7 @@ def build_grid(domain: DomainSpec, target_h: float, max_nodes: int | None = None
 
 
 def build_vertical_grid(
-    halfwidths: Sequence[float] | DomainSpec, target_h: float, max_nodes: int | None = None
+    halfwidths: Sequence[float], target_h: float, max_nodes: int | None = None
 ) -> Grid:
     """Grid over the fixed vertical box alone, for the limit problem.
 
@@ -302,8 +302,6 @@ def build_vertical_grid(
     vertical node coordinates coincide exactly with the vertical axes of
     every full grid built at the same ``target_h``.
     """
-    if isinstance(halfwidths, DomainSpec):
-        halfwidths = halfwidths.vertical_halfwidths
     halfwidths = [float(w) for w in halfwidths]
     if not halfwidths or any(w <= 0 for w in halfwidths):
         raise ValueError("vertical halfwidths must be positive")

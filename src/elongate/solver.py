@@ -50,7 +50,6 @@ from .field import (
     _assemble_gradient_arr,
     _cell_gradients_arr,
     _load_vector,
-    assemble_energy,
     load_cell_values,
 )
 from .geometry import Grid, cutoff

@@ -40,14 +40,17 @@ SWEEP_CSV_HEADER = (
 
 
 def thread_budget() -> int:
-    """Parallelism degree: ELONGATE_THREADS, defaulting to the machine's."""
+    """Parallelism degree: ELONGATE_THREADS, defaulting to the machine's.
+
+    A value that is not an integer raises :class:`ValueError`.
+    """
     raw = os.environ.get("ELONGATE_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not raw:
+        return os.cpu_count() or 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ValueError(f"ELONGATE_THREADS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,7 @@ class SweepResult:
     limit_report: SolveReport
     final_field: ScalarField
     final_grid: Grid
+    final_report: SolveReport
 
 
 def _measure(grid: Grid, u: ScalarField, u_ext: ScalarField, p: float, ell0: float) -> dict:
@@ -143,8 +147,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     :func:`thread_budget`.  Non-converged solves, including a failed
     limit solve, mark their record; downstream fits skip them.  Only
     the solution at the largest elongation is kept
-    (``final_field``/``final_grid``).  Deterministic given the config.
+    (``final_field``/``final_grid``/``final_report``).  Deterministic
+    given the config.  ``ELONGATE_THREADS`` is read before any solve.
     """
+    threads = thread_budget()
     vgrid = build_vertical_grid(config.vertical_halfwidths, config.target_h, config.max_nodes)
     w, wrep = solve_limit(vgrid, config.density, config.load, config.options)
     p = config.density.p
@@ -169,19 +175,21 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             runtime_ms=1e3 * (time.perf_counter() - t0),
             **meas,
         )
-        return record, u, grid
+        return record, u, grid, rep
 
     records: list[SweepRecord] = []
-    u = grid = None
+    u = grid = rep = None
     if config.warm_start:
         for ell in config.ells:
-            record, u, grid = solve_one(ell, u)
+            record, u, grid, rep = solve_one(ell, u)
             records.append(record)
     else:
-        with ThreadPoolExecutor(max_workers=thread_budget()) as pool:
-            for record, u, grid in pool.map(lambda e: solve_one(e, None), config.ells):
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for record, u, grid, rep in pool.map(lambda e: solve_one(e, None), config.ells):
                 records.append(record)
-    return SweepResult(records=records, limit=w, limit_report=wrep, final_field=u, final_grid=grid)
+    return SweepResult(
+        records=records, limit=w, limit_report=wrep, final_field=u, final_grid=grid, final_report=rep
+    )
 
 
 @dataclass

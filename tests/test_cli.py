@@ -43,21 +43,32 @@ def test_descending_ell_list_rejected(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
-def test_dry_run_prints_budget_and_writes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve", "sweep", "profile"])
+def test_dry_run_prints_budget_and_writes_nothing(tmp_path, capsys, command):
     cfg = _write_config(tmp_path / "c.json")
     out = tmp_path / "o"
-    assert main(["--dry-run", "solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["--dry-run", command, "--config", str(cfg), "--out", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "nodes=" in captured
     assert not out.exists()
 
 
-def test_dry_run_honours_node_budget(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve", "sweep", "profile"])
+def test_dry_run_honours_node_budget(tmp_path, capsys, command):
     cfg = _write_config(tmp_path / "c.json", grid={"max_nodes": 50})
     out = tmp_path / "o"
-    assert main(["--dry-run", "sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main(["--dry-run", command, "--config", str(cfg), "--out", str(out)]) == 1
     assert "budget is 50" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_integer_thread_budget_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ELONGATE_THREADS", "junk")
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "ELONGATE_THREADS" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def test_non_finite_load_is_config_error(tmp_path, capsys):
@@ -245,6 +256,17 @@ def test_profile_rows_ascending_and_monotone(tmp_path):
     assert len(ts) == 4
     # interior contraction is visible in the profile
     assert gs[0] <= 0.9 * gs[1]
+
+
+def test_profile_does_not_run_the_minimality_audit(tmp_path, monkeypatch):
+    def no_audit(*args, **kwargs):
+        raise AssertionError("profile ran the minimality audit")
+
+    monkeypatch.setattr("elongate.cli.minimality_audit", no_audit)
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["profile", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "profile.csv").exists()
 
 
 def test_audit_density_pass(tmp_path, capsys):

@@ -106,6 +106,15 @@ def test_run_sweep_full_domain_region():
     assert rec.hgrad_p > 1e-4
 
 
+@pytest.mark.parametrize("warm_start", [True, False])
+def test_run_sweep_final_report_is_the_last_solve(warm_start):
+    res = run_sweep(_sweep_config(warm_start=warm_start))
+    last = res.records[-1]
+    assert res.final_report.iterations == last.iters
+    assert res.final_report.energy == last.J_ell
+    assert res.final_grid.node_count == last.nodes
+
+
 def test_run_sweep_deterministic():
     r1 = run_sweep(_sweep_config()).records
     r2 = run_sweep(_sweep_config()).records
@@ -307,6 +316,7 @@ def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("ELONGATE_THREADS", "3")
     assert thread_budget() == 3
     monkeypatch.setenv("ELONGATE_THREADS", "junk")
-    assert thread_budget() >= 1
+    with pytest.raises(ValueError, match="ELONGATE_THREADS"):
+        thread_budget()
     monkeypatch.delenv("ELONGATE_THREADS")
     assert thread_budget() >= 1
