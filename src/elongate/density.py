@@ -59,6 +59,10 @@ class EnergyDensity(abc.ABC):
     """
 
     kind: str = "custom"
+    #: Declares ``F`` unchanged when one component of ``xi`` changes sign.
+    #: The solver then halves mirror-symmetric problems; a density that
+    #: does not declare it is always solved on the full grid.
+    mirror_invariant: bool = False
 
     def __init__(self, p: float, k: float, lam: float, Lam: float, beta: float, r: int, n: int):
         if p < 2:
@@ -173,6 +177,7 @@ class PDirichletDensity(EnergyDensity):
     """
 
     kind = "p-dirichlet"
+    mirror_invariant = True
 
     def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
         k = 0.0 if p == 2 else 2.0
@@ -220,6 +225,7 @@ class SeparablePowerDensity(EnergyDensity):
     """
 
     kind = "separable-p"
+    mirror_invariant = True
 
     def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
         b = 0.5 if p == 2 else 0.0
@@ -280,6 +286,7 @@ class QuadraticDensity(EnergyDensity):
     """The quadratic form ``|xi|^2 / 2`` with certified ``beta = 1/2``."""
 
     kind = "quadratic"
+    mirror_invariant = True
 
     def __init__(self, r: int, n: int, lam=None, Lam=None, beta=None):
         super().__init__(

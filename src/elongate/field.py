@@ -135,7 +135,9 @@ def _pair_adjoint(contrib: np.ndarray, axis: int, diff: bool) -> np.ndarray:
     shape[axis] += 1
     out = np.empty(shape)
     if diff:
-        np.negative(contrib[first], out=out[first])
+        # not ``np.negative``: numpy 2.4.6 writes wrong values with it from
+        # an input of stride 64 bytes into a strided output
+        np.multiply(contrib[first], -1.0, out=out[first])
         np.subtract(contrib[lower], contrib[upper], out=out[inner])
     else:
         out[first] = contrib[first]

@@ -23,6 +23,18 @@ arithmetic.  On box grids and on the vertical grid of the limit problem
 it solves the quadratic problem outright; on ball grids and for ``p >
 2`` it acts as an H^1 (Sobolev-gradient) preconditioner.
 
+A problem that is mirror-symmetric about the mid-plane of an axis (even
+cell count; Dirichlet nodes, cell mask and load equal to their flip; a
+density that declares itself unchanged by the sign flip of one gradient
+component) has a symmetric minimizer, so the solve keeps the upper half
+of every such axis: ``2^k`` times less data per pass for ``k`` halved
+axes.  The same minimizer and preconditioner run on the halved grid,
+where the mid-plane nodes are free; the preconditioner keeps only the
+odd modes of a halved axis, and the stopping test doubles the gradient
+on each halved mid-plane, which gives the full grid's gradient exactly.
+Results agree with the full solve to solver tolerance; with no axis to
+halve the solve is the full one, bit for bit.
+
 Stopping is on the max-norm of the discrete energy gradient scaled by
 (sup |load|) * (cell volume), keeping one dimensionless tolerance
 meaningful across elongations and spacings.  Running out of iterations,
@@ -99,6 +111,9 @@ class SolveReport:
     grad_tol_abs: float
     #: Line-search energy evaluations, at least one per iteration.
     trials: int
+    #: Axes about whose mid-plane the problem is symmetric; the solve ran
+    #: on the upper half of each (see :func:`minimize`).
+    mirror_axes: list[int]
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -165,11 +180,20 @@ class _FoldedSine:
     ``rfft`` sums, which scale a round trip by ``N / 2``.  Every index,
     view shape and matrix orientation is fixed at construction, so a
     call does only the arithmetic; both methods write into ``out``.
+
+    With ``half`` the axis holds nodes ``N/2 .. N-1`` of a mirror-symmetric
+    axis of ``N`` cells, the upper half that the solver keeps (see
+    :func:`_halve`).  Its mirror sums would be its values in reverse
+    order, twice over, and its differences vanish, so it is never folded
+    and transforms to the odd modes alone: by the odd-mode matrix with
+    its columns reversed, or by ``rfft`` sums over the reversed values.
+    The factor 2 is left to the caller.
     """
 
-    def __init__(self, shape: tuple[int, ...], axis: int):
-        j = shape[axis]  # interior nodes
-        self.cells = cells = j + 1
+    def __init__(self, shape: tuple[int, ...], axis: int, half: bool = False):
+        j = shape[axis]  # interior nodes, or the free nodes of a halved axis
+        self.half = half
+        self.cells = cells = 2 * j if half else j + 1
         c, h = cells // 2, j // 2  # sums and odd modes, differences and even modes
         # nodes i and N - i
         mirror = (_along(axis, slice(0, h)), _along(axis, slice(j - 1, c - 1, -1)))
@@ -180,23 +204,27 @@ class _FoldedSine:
         self.shape3 = (math.prod(shape[:axis]), j, math.prod(shape[axis + 1:]))
         # one matrix product, not ``pre`` matrix-vector products
         self.flat = self.shape3[2] == 1
-        parts = (slice(0, c), slice(c, j))
-        dense = j <= _DENSE_MAX
+        parts = (slice(0, c), slice(c, j))[: 1 if half else 2]
+        dense = cells - 1 <= _DENSE_MAX
         self.scale = 1.0 if dense else 0.5 * cells
         self.products = self.sines = None
         if dense:
             # ``x @ q.T`` on a flat array, ``q @ x`` otherwise, and the
             # transposes for the inverse; as views, never contiguous copies,
             # so each product keeps its BLAS call and its round-off
-            halves = list(zip(_sine_halves(cells), parts))
+            blocks = _sine_halves(cells)
+            if half:  # columns reversed once, so BLAS sees positive strides
+                blocks = (np.ascontiguousarray(blocks[0][:, ::-1]),)
+            halves = list(zip(blocks, parts))
             self.products = tuple(
                 tuple((q.T if self.flat != inverse else q, part) for q, part in halves)
                 for inverse in (False, True)
             )
         else:
-            sums, modes, diffs = slice(1, c + 1), slice(1, cells, 2), slice(1, h + 1)
+            sums = slice(c, 0, -1) if half else slice(1, c + 1)
+            modes, diffs = slice(1, cells, 2), slice(1, h + 1)
             self.sines = tuple(
-                ((2 * cells, place, take, parts[0]), (cells, diffs, diffs, parts[1]))
+                [(2 * cells, place, take, parts[0])] + [(cells, diffs, diffs, part) for part in parts[1:]]
                 for place, take in ((sums, modes), (modes, sums))
             )
 
@@ -224,7 +252,7 @@ class _FoldedSine:
         return out
 
 
-def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
+def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of the box's quadratic Hessian, restricted to the free nodes.
 
     With one centroid quadrature point the Hessian of ``|grad u|^2 / 2``
@@ -238,42 +266,55 @@ def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     first as :class:`_FoldedSine` stores them.  The result is zeroed at
     every Dirichlet node, so the map is symmetric and positive definite
     on the free nodes of any grid, exact on box grids, and commutes bit
-    for bit with the mirror flip of every axis.  Everything but the
-    arithmetic is set up here, once per solve; each application
-    ping-pongs between two interior-size arrays of its own.
+    for bit with the mirror flip of every axis.
+
+    On a grid halved along the axes ``halved`` (:func:`_halve`) it is the
+    exact inverse of the halved problem's Hessian: a halved axis of ``N /
+    2`` cells is the upper half of ``N``, its first node is free and only
+    its odd modes occur, each taken twice (the factor ``2^k`` for ``k``
+    halved axes).  Everything but the arithmetic is set up here, once
+    per solve; each application ping-pongs between two interior-size
+    arrays of its own.
     """
-    shape = tuple(m - 1 for m in grid.cell_shape)
-    axes = [_FoldedSine(shape, a) for a in range(grid.n)]
-    half = []
-    for a, m in enumerate(grid.cell_shape):
-        k = np.concatenate((np.arange(1, m, 2), np.arange(2, m, 2)))
-        half.append((0.5 * np.pi / m * k).reshape([-1 if b == a else 1 for b in range(grid.n)]))
+    inner = tuple(slice(0 if a in halved else 1, -1) for a in range(grid.n))
+    shape = tuple(m if a in halved else m - 1 for a, m in enumerate(grid.cell_shape))
+    axes = [_FoldedSine(shape, a, a in halved) for a in range(grid.n)]
+    folding = [ax for ax in axes if not ax.half]
+    half_angles = []
+    for a, ax in enumerate(axes):
+        m = ax.cells
+        k = np.arange(1, m, 2) if ax.half else np.concatenate((np.arange(1, m, 2), np.arange(2, m, 2)))
+        half_angles.append((0.5 * np.pi / m * k).reshape([-1 if b == a else 1 for b in range(grid.n)]))
     lam = np.zeros(shape)
     for a in range(grid.n):
-        term = 4.0 / grid.h[a] ** 2 * np.sin(half[a]) ** 2
+        term = 4.0 / grid.h[a] ** 2 * np.sin(half_angles[a]) ** 2
         for b in range(grid.n):
             if b != a:
-                term = term * np.cos(half[b]) ** 2
+                term = term * np.cos(half_angles[b]) ** 2
         lam += term
-    inv = 1.0 / (lam * (grid.cell_volume * math.prod(ax.scale for ax in axes)))
-    inner = (slice(1, -1),) * grid.n
+    inv = 2.0 ** len(halved) / (lam * (grid.cell_volume * math.prod(ax.scale for ax in axes)))
     fixed = grid.dirichlet[inner]
     fixed = fixed if fixed.any() else None
 
     def apply(residual: np.ndarray) -> np.ndarray:
         # every step reads z and writes the other array, which then becomes z
-        z, w = axes[0].fold(residual[inner], np.empty(shape)), np.empty(shape)
-        for ax in axes[1:]:
+        z = folding[0].fold(residual[inner], np.empty(shape)) if folding else np.array(residual[inner])
+        w = np.empty(shape)
+        for ax in folding[1:]:
             z, w = ax.fold(z, w), z
         for ax in axes:
             z, w = ax.transform(z, w), z
         z *= inv
         for ax in axes:
             z, w = ax.transform(z, w, inverse=True), z
-        for ax in axes[:-1]:
+        for ax in folding[:-1]:
             z, w = ax.fold(z, w, inverse=True), z
         out = np.zeros(grid.shape)
-        core = axes[-1].fold(z, out[inner], inverse=True)
+        core = out[inner]
+        if folding:
+            folding[-1].fold(z, core, inverse=True)
+        else:
+            core[...] = z
         if fixed is not None:
             core[fixed] = 0.0
         return out
@@ -281,14 +322,14 @@ def _box_inverse(grid: Grid) -> Callable[[np.ndarray], np.ndarray]:
     return apply
 
 
-def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond):
+def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_norm):
     vol = grid.cell_volume
     mask = None if grid.outside_cells is None else grid.cell_mask
     trials = 0
 
     Gx = _cell_gradients_arr(grid, x)
     g = _assemble_gradient_arr(grid, Gx, density, load_vec)
-    gmax = float(np.max(np.abs(g)))
+    gmax = max_norm(g)
     if gmax <= tol or not math.isfinite(gmax):
         return x, 0, gmax, gmax <= tol, trials
     z = precond(g)
@@ -345,11 +386,11 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond):
         if exact:
             Gx = _cell_gradients_arr(grid, x)
         g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
-        gmax = float(np.max(np.abs(g_new)))
+        gmax = max_norm(g_new)
         if gmax <= tol and not exact:
             Gx = _cell_gradients_arr(grid, x)
             g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
-            gmax = float(np.max(np.abs(g_new)))
+            gmax = max_norm(g_new)
         if not math.isfinite(gmax):
             break
         if gmax <= tol:
@@ -370,6 +411,78 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond):
     return x, k, gmax, converged, trials
 
 
+def _mirror_axes(grid: Grid, density: EnergyDensity, f_cells: np.ndarray) -> tuple[int, ...]:
+    """The axes about whose mid-plane the problem is mirror-symmetric.
+
+    An axis qualifies when its cell count is even, when the Dirichlet
+    nodes, the cell mask and the load's cell values each equal their
+    flip along it, and when the density declares itself unchanged by the
+    sign flip of one gradient component (``mirror_invariant``).  The
+    minimizer is unique, hence symmetric about each such mid-plane.
+    """
+    if not density.mirror_invariant:
+        return ()
+    return tuple(
+        a
+        for a in range(grid.n)
+        if grid.cell_shape[a] % 2 == 0
+        and all(np.array_equal(v, np.flip(v, a)) for v in (grid.dirichlet, grid.cell_mask, f_cells))
+    )
+
+
+def _upper_half(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """View of ``values`` from index ``N / 2`` on along each of ``axes``.
+
+    That is nodes ``N/2 .. N`` of a node array and cells ``N/2 .. N-1``
+    of a cell array with ``N`` cells; a broadcast axis of length 1 stays
+    whole.
+    """
+    starts = [values.shape[a] // 2 if a in axes else 0 for a in range(values.ndim)]
+    return values[tuple(slice(start, None) for start in starts)]
+
+
+def _halve(grid: Grid, axes: tuple[int, ...]) -> Grid:
+    """The grid cut to its upper half along ``axes``, or the grid itself.
+
+    Its first node along a halved axis lies on the mid-plane and is free
+    unless the full grid fixes it.  For a field symmetric about those
+    mid-planes the full grid's energy is ``2^k`` times the halved grid's
+    (``k = len(axes)``), and the full gradient equals the halved one,
+    doubled on each halved mid-plane.
+    """
+    if not axes:
+        return grid
+    dirichlet = np.ascontiguousarray(_upper_half(grid.dirichlet, axes))
+    lo = list(grid.lo)
+    for a in axes:
+        lo[a] += grid.h[a] * (grid.cell_shape[a] // 2)
+    return Grid(
+        grid.r, grid.ell, grid.cross_section, tuple(lo), grid.h, dirichlet.shape, dirichlet,
+        np.ascontiguousarray(_upper_half(grid.cell_mask, axes)),
+    )
+
+
+def _mirror_back(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Full-grid values from the upper half along ``axes``, by mirroring."""
+    for a in axes:
+        values = np.concatenate((np.flip(values[_along(a, slice(1, None))], a), values), axis=a)
+    return values
+
+
+def _max_norm(axes: tuple[int, ...]) -> Callable[[np.ndarray], float]:
+    """Max-norm of the full grid's gradient from the gradient on the grid
+    halved along ``axes``: doubled on each halved mid-plane (exact)."""
+    mids = [_along(a, slice(0, 1)) for a in axes]
+
+    def norm(g: np.ndarray) -> float:
+        mag = np.abs(g)
+        for mid in mids:
+            mag[mid] *= 2.0
+        return float(np.max(mag))
+
+    return norm
+
+
 def minimize(
     grid: Grid,
     density: EnergyDensity,
@@ -386,6 +499,13 @@ def minimize(
     gradient are reported (``converged=False``), not raised.  ``warm_start`` seeds the
     iteration after projection onto the admissible set;
     ``callback(k, values)`` fires after every accepted step.
+
+    A problem mirror-symmetric about the mid-plane of some axes
+    (:func:`_mirror_axes`, reported as ``mirror_axes``) is solved on the
+    upper half of those axes, with ``2^k`` times less data per pass for
+    ``k`` halved axes.  The warm start is cut to that half; the result
+    and every callback's values are mirrored back to the full grid, and
+    the reported energy and ``grad_max`` are the full grid's.
     """
     opts = opts or SolveOptions()
     if density.n != grid.n:
@@ -393,24 +513,28 @@ def minimize(
     grad_tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(density)
     tol = grad_tol * load.max_abs(grid) * grid.cell_volume
     f_cells = load_cell_values(grid, load)
+    axes = _mirror_axes(grid, density, f_cells)
+    half = _halve(grid, axes)
 
     if warm_start is None:
-        x0 = np.zeros(grid.shape)
+        x0 = np.zeros(half.shape)
     else:
         wg = warm_start.grid
         if wg is not grid and (wg.shape, wg.lo, wg.h) != (grid.shape, grid.lo, grid.h):
             raise ValueError("warm start lives on an incompatible grid")
-        x0 = np.array(warm_start.values)
-        x0[grid.dirichlet] = 0.0
+        x0 = np.array(_upper_half(warm_start.values, axes))
+        x0[half.dirichlet] = 0.0
+    full_callback = None if callback is None else (lambda k, x: callback(k, _mirror_back(x, axes)))
 
     t0 = time.perf_counter()
     x, iters, gmax, converged, trials = _descent(
-        grid, density, _load_vector(grid, f_cells), x0, tol, opts.max_iters, callback, _box_inverse(grid)
+        half, density, _load_vector(half, _upper_half(f_cells, axes)), x0, tol, opts.max_iters,
+        full_callback, _box_inverse(half, axes), _max_norm(axes),
     )
     wall = time.perf_counter() - t0
-    field = ScalarField(grid, x)
+    field = ScalarField(grid, _mirror_back(x, axes))
     energy = _assemble_energy_arr(grid, field.values, density, f_cells)
-    return field, SolveReport(converged, iters, gmax, energy, wall, tol, trials)
+    return field, SolveReport(converged, iters, gmax, energy, wall, tol, trials, list(axes))
 
 
 def solve_limit(

@@ -167,6 +167,8 @@ def test_solve_writes_artifacts(tmp_path):
     report = json.loads((out / "solve-report.json").read_text())
     assert report["solve"]["converged"] is True
     assert report["solve"]["trials"] >= report["solve"]["iterations"]
+    # the symmetric box problem and its limit were solved on halved grids
+    assert report["solve"]["mirror_axes"] == [0, 1] and report["limit"]["mirror_axes"] == [0]
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

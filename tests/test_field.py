@@ -20,6 +20,7 @@ from elongate import (
     region_cells,
     save_field,
 )
+from elongate.field import _pair, _pair_adjoint
 
 CS1 = CrossSection("box", 1)
 
@@ -255,3 +256,20 @@ def test_load_evaluate():
 def test_load_constant_rejects_non_finite(value):
     with pytest.raises(ValueError):
         Load.constant(value)
+
+
+@pytest.mark.parametrize("cells", range(2, 20))
+def test_pair_adjoint_is_the_transpose_of_pair(cells):
+    # every node against the transposed matrix of _pair, the first node of
+    # each axis included (a free node on the mirror plane of a halved
+    # solve); with 8 cells on the last axis the first nodes once came out
+    # wrong (np.negative from an input of stride 64 bytes, numpy 2.4.6)
+    shape = (3, 5, cells + 1)
+    eye = np.eye(np.prod(shape))
+    rng = np.random.default_rng(cells)
+    for axis in range(len(shape)):
+        for op, diff in ((np.subtract, True), (np.add, False)):
+            matrix = np.stack([_pair(e.reshape(shape), axis, op).ravel() for e in eye], axis=1)
+            edges = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
+            contrib = rng.standard_normal(edges)
+            assert np.array_equal(_pair_adjoint(contrib, axis, diff).ravel(), matrix.T @ contrib.ravel())

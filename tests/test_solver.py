@@ -26,7 +26,8 @@ from elongate import (
     sup_error,
 )
 from elongate.field import _assemble_gradient_arr, _cell_gradients_arr, _load_vector, load_cell_values
-from elongate.solver import _DENSE_MAX, _FoldedSine, _box_inverse
+from elongate.density import EnergyDensity
+from elongate.solver import _DENSE_MAX, _FoldedSine, _box_inverse, _halve
 
 CS1 = CrossSection("box", 1)
 LOAD2 = Load.constant(2.0)
@@ -202,8 +203,9 @@ def _random_box_grid(rng, r, vertical):
     return build_grid(DomainSpec(CrossSection("box", r), rng.uniform(0.5, 2.5), hw), h)
 
 
-def _hessian_product(grid, values):
-    d = make_density("quadratic", r=grid.r, n=grid.n)
+def _hessian_product(grid, values, d=None):
+    """Hessian of a quadratic density's energy (default ``|xi|^2 / 2``) times ``values``."""
+    d = make_density("quadratic", r=grid.r, n=grid.n) if d is None else d
     return assemble_energy_gradient(ScalarField(grid, values), d, Load.constant(0.0))
 
 
@@ -218,7 +220,9 @@ def _long_axis_grid(kind):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
     # exact oracle: on box grids the preconditioner is the inverse of the
-    # assembled quadratic Hessian on the free nodes
+    # assembled quadratic Hessian on the free nodes; on the grid halved
+    # along some even axes, of the halved grid's Hessian (dense and rfft
+    # axes halved, alone or beside full ones)
     rng = np.random.default_rng(100 * seed + 10 * r + (vertical if isinstance(vertical, int) else 7))
     if isinstance(vertical, str):
         grid = _long_axis_grid(vertical)
@@ -226,16 +230,19 @@ def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
     else:
         grid = _random_box_grid(rng, r, vertical)
         assert grid.n == 1 or len(set(grid.h)) > 1
-    apply_inverse = _box_inverse(grid)
-    for _ in range(3):
-        x = rng.standard_normal(grid.shape)
-        x[grid.dirichlet] = 0.0
-        z = apply_inverse(_hessian_product(grid, x))
-        assert np.max(np.abs(z - x)) <= 1e-12 * np.max(np.abs(x))
-        b = rng.standard_normal(grid.shape)
-        b[grid.dirichlet] = 0.0
-        Ab = _hessian_product(grid, apply_inverse(b))
-        assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
+    even = tuple(a for a in range(grid.n) if grid.cell_shape[a] % 2 == 0)
+    for halved in dict.fromkeys([(), *((a,) for a in even), even]):
+        sub = _halve(grid, halved)
+        apply_inverse = _box_inverse(sub, halved)
+        for _ in range(3):
+            x = rng.standard_normal(sub.shape)
+            x[sub.dirichlet] = 0.0
+            z = apply_inverse(_hessian_product(sub, x))
+            assert np.max(np.abs(z - x)) <= 1e-12 * np.max(np.abs(x))
+            b = rng.standard_normal(sub.shape)
+            b[sub.dirichlet] = 0.0
+            Ab = _hessian_product(sub, apply_inverse(b))
+            assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 200])
@@ -260,6 +267,35 @@ def test_folded_sine_round_trip(cells):
         modes = ax.transform(ax.fold(eye, np.empty_like(eye)), np.empty_like(eye))
         q[np.r_[0 : cells - 1 : 2, 1 : cells - 1 : 2]] = modes
         assert np.max(np.abs(q @ q - eye)) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("cells", [2, 16, 64, 128, 130, 200])
+def test_folded_sine_half_axis_is_the_odd_part(cells):
+    # a half axis holds the upper half of a symmetric axis, nodes N/2 ..
+    # N-1; mirrored with its mid-plane node doubled (as the solver's
+    # residual is), the folded transform has no even modes and its odd
+    # modes are the half axis's transform of twice the upper half; from
+    # those odd modes the inverse gives back the upper half on both
+    for axis, shape in ((1, (3, cells // 2, 4)), (0, (cells // 2, 4)), (1, (3, cells // 2))):
+        def along(sl):
+            return (slice(None),) * axis + (sl,)
+
+        upper = np.random.default_rng(cells).standard_normal(shape)
+        x = np.concatenate((np.flip(upper[along(slice(1, None))], axis), upper), axis)
+        x[along(cells // 2 - 1)] *= 2.0
+        ax, ax_half = _FoldedSine(x.shape, axis), _FoldedSine(shape, axis, half=True)
+        assert ax_half.cells == cells and ax_half.scale == ax.scale
+        assert (ax_half.products is not None) == (cells - 1 <= _DENSE_MAX)
+        modes = ax.transform(ax.fold(x, np.empty(x.shape)), np.empty(x.shape))
+        odd, even = modes[along(slice(0, cells // 2))], modes[along(slice(cells // 2, None))]
+        assert np.max(np.abs(even), initial=0.0) <= 1e-13 * np.max(np.abs(odd))
+        got = ax_half.transform(2.0 * upper, np.empty(shape))
+        assert np.max(np.abs(got - odd)) <= 1e-13 * np.max(np.abs(odd))
+        modes[along(slice(cells // 2, None))] = 0.0
+        back = ax.fold(ax.transform(modes, np.empty(x.shape), inverse=True), np.empty(x.shape), inverse=True)
+        got = ax_half.transform(odd, np.empty(shape), inverse=True)
+        upper_back = back[along(slice(cells // 2 - 1, None))]
+        assert np.max(np.abs(got - upper_back)) <= 1e-13 * np.max(np.abs(got))
 
 
 @pytest.mark.parametrize("kind", ["ball", "long-box"])
@@ -372,24 +408,120 @@ def test_quadratic_box_solve_is_one_iteration():
     assert rep.converged and rep.iterations == 1
 
 
-def test_ball_solve_matches_dense_solve():
-    # exact oracle on a masked grid, where the box inverse is only a
-    # preconditioner: the dense assembled system solved directly
-    grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
-    d = make_density("quadratic", r=2, n=3)
+class _CrossCoupled(EnergyDensity):
+    """``|xi|^2 / 2 + (xi_0 + xi_1)^2 / 2``: convex and quadratic, but not
+    unchanged by the sign flip of one gradient component."""
+
+    def __init__(self, r, n):
+        super().__init__(2.0, 0.0, 0.5, 1.5, 0.5, r, n)
+
+    def value(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        return 0.5 * (np.sum(xi * xi, axis=-1) + (xi[..., 0] + xi[..., 1]) ** 2)
+
+    def grad(self, xi):
+        out = np.array(xi, dtype=float)
+        cross = out[..., 0] + out[..., 1]
+        out[..., 0] += cross
+        out[..., 1] += cross
+        return out
+
+    def line_increment(self, xi, delta):
+        # exact in the step, as the built-ins are: the solve then reaches
+        # the tight tolerance
+        b = np.sum(self.grad(xi) * delta, axis=-1)
+        c = 0.5 * np.sum(self.grad(delta) * delta, axis=-1)
+        return lambda alpha: alpha * (b + alpha * c)
+
+    def vertical_restriction(self):
+        return make_density("quadratic", r=0, n=self.n - self.r)
+
+
+def _dense_solve(grid, d, load):
+    """Free-node values of the quadratic problem's minimizer, by a dense direct solve."""
     free = np.flatnonzero(grid.interior)
     columns = []
     for i in free:
         e = np.zeros(grid.node_count)
         e[i] = 1.0
-        columns.append(_hessian_product(grid, e.reshape(grid.shape)).ravel()[free])
+        columns.append(_hessian_product(grid, e.reshape(grid.shape), d).ravel()[free])
     A = np.array(columns).T
     assert np.allclose(A, A.T, rtol=0, atol=1e-14 * np.max(np.abs(A)))
-    b = -assemble_energy_gradient(ScalarField.zeros(grid), d, LOAD2).ravel()[free]
-    exact = np.linalg.solve(A, b)
+    b = -assemble_energy_gradient(ScalarField.zeros(grid), d, load).ravel()[free]
+    return free, np.linalg.solve(A, b)
+
+
+def test_ball_solve_matches_dense_solve():
+    # exact oracle on a masked grid, where the box inverse is only a
+    # preconditioner: the dense assembled system solved directly
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
+    d = make_density("quadratic", r=2, n=3)
+    free, exact = _dense_solve(grid, d, LOAD2)
     u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-12))
     assert rep.converged and rep.iterations > 1
     assert np.max(np.abs(u.values.ravel()[free] - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_flip_dependent_density_matches_dense_solve():
+    # a density that a single sign flip changes gets no halved axis, and the
+    # full solve still meets the exact oracle; its minimizer is not
+    # symmetric about the axis-0 mid-plane, so halving that axis would be wrong
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
+    d = _CrossCoupled(r=2, n=3)
+    free, exact = _dense_solve(grid, d, LOAD2)
+    u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-12))
+    assert rep.converged and rep.iterations > 1 and rep.mirror_axes == []
+    assert np.max(np.abs(u.values.ravel()[free] - exact)) <= 1e-10 * np.max(np.abs(exact))
+    assert np.max(np.abs(u.values - np.flip(u.values, 0))) > 1e-3 * np.max(np.abs(u.values))
+
+
+@pytest.mark.parametrize("kind,p,cs,ell,h", [
+    ("quadratic", None, CrossSection("ball", 2), 2.0, 1 / 8),
+    ("p-dirichlet", 4.0, CS1, 4.0, 1 / 16),
+    ("separable-p", 3.0, CrossSection("box", 2), 1.0, 1 / 8),
+], ids=["ball-quadratic", "box-p4", "box3d-separable-p3"])
+def test_halved_solve_matches_full_solve(kind, p, cs, ell, h):
+    # the same problem, halved along every axis and solved in full (a
+    # subclass that does not declare the flip invariance)
+    grid = build_grid(DomainSpec(cs, ell, (1.0,)), h)
+    d = make_density(kind, p, r=cs.r, n=grid.n)
+
+    class Full(type(d)):
+        mirror_invariant = False
+
+    full = Full(r=cs.r, n=grid.n) if p is None else Full(p, r=cs.r, n=grid.n)
+    u, rep = minimize(grid, d, LOAD2)
+    u_full, rep_full = minimize(grid, full, LOAD2)
+    assert rep.converged and rep_full.converged
+    assert rep.mirror_axes == list(range(grid.n)) and rep_full.mirror_axes == []
+    assert abs(rep.energy - rep_full.energy) <= 1e-12 * abs(rep_full.energy)
+    assert np.max(np.abs(u.values - u_full.values)) <= 1e-9 * np.max(np.abs(u_full.values))
+    for a in range(grid.n):
+        assert np.array_equal(u.values, np.flip(u.values, a))
+    assert rep.grad_max == np.max(np.abs(assemble_energy_gradient(u, d, LOAD2)))
+
+
+def test_mirror_axes():
+    # every axis of the built-in ball and box problems; an odd cell count,
+    # a load that is not even in the vertical coordinate and a density that
+    # does not declare the flip invariance each take axes away
+    ball = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
+    box = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
+    odd = build_grid(DomainSpec(CS1, 2.0, (0.9,)), 1 / 8)
+    assert odd.cell_shape == (32, 15)
+    cases = [
+        (ball, make_density("quadratic", r=2, n=3), LOAD2, [0, 1, 2]),
+        (box, make_density("p-dirichlet", 4.0, r=1, n=2), LOAD2, [0, 1]),
+        (odd, make_density("quadratic", r=1, n=2), LOAD2, [0]),
+        (box, make_density("quadratic", r=1, n=2), Load.sampled(lambda y: 2.0 - y * y), [0, 1]),
+        (box, make_density("quadratic", r=1, n=2), Load.sampled(lambda y: 2.0 + y), [0]),
+        (ball, _CrossCoupled(r=2, n=3), LOAD2, []),
+    ]
+    for grid, d, load, axes in cases:
+        _, rep = minimize(grid, d, load, SolveOptions(max_iters=3))
+        assert rep.mirror_axes == axes
+    _, rep = solve_limit(build_vertical_grid([1.0], 1 / 8), make_density("p-dirichlet", 4.0, r=1, n=2), LOAD2)
+    assert rep.mirror_axes == [0]
 
 
 def test_quadratic_ball_solve_iterations():
