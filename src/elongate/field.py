@@ -54,10 +54,7 @@ class Load:
         """Sup of |load| over the vertical cell centroids (the solver's scale)."""
         if self.kind == "constant":
             return abs(self.value)
-        centers = np.meshgrid(
-            *[grid.axis_centers(a) for a in range(grid.r, grid.n)], indexing="ij", sparse=True
-        )
-        return float(np.max(np.abs(self.evaluate(*centers))))
+        return float(np.max(np.abs(self.evaluate(*_vertical_centers(grid)))))
 
     @staticmethod
     def conjugate_exponent(p: float) -> float:
@@ -181,12 +178,25 @@ def cell_means(v: ScalarField) -> np.ndarray:
     return _cell_means_arr(v.values)
 
 
+def _vertical_centers(grid: Grid) -> list[np.ndarray]:
+    """Sparse mesh of the vertical cell centroids, exactly mirror-symmetric.
+
+    Along each vertical axis the centroids are ``mid + h (i - (N - 1) /
+    2)`` for ``N`` cells about the axis midpoint ``mid``: the offsets of
+    cells ``i`` and ``N - 1 - i`` are exact negatives, so a load even
+    about a midpoint at 0 gives cell values equal to their flip bit for
+    bit, whatever the spacing.
+    """
+    centers = []
+    for a in range(grid.r, grid.n):
+        cells, h = grid.cell_shape[a], grid.h[a]
+        centers.append(grid.lo[a] + 0.5 * cells * h + h * (np.arange(cells) - 0.5 * (cells - 1)))
+    return np.meshgrid(*centers, indexing="ij", sparse=True)
+
+
 def load_cell_values(grid: Grid, load: Load) -> np.ndarray:
     """Load sampled at the vertical centroid of every cell, broadcastable to cells."""
-    centers = np.meshgrid(
-        *[grid.axis_centers(a) for a in range(grid.r, grid.n)], indexing="ij", sparse=True
-    )
-    vals = np.asarray(load.evaluate(*centers), dtype=float)
+    vals = np.asarray(load.evaluate(*_vertical_centers(grid)), dtype=float)
     vals = np.broadcast_to(vals, grid.cell_shape[grid.r:])
     return vals.reshape((1,) * grid.r + vals.shape)
 

@@ -10,18 +10,11 @@ per-cell increments, so descent remains verifiable far below the
 round-off floor of naive energy subtraction, which is what the tight
 default tolerances need.
 
-The preconditioner is the exact inverse of the quadratic Hessian of the
-grid's bounding box, applied by fast diagonalization with sine
-transforms and restricted to the free nodes.  Every axis is folded into
-mirror sums and differences before any transform, so the preconditioner
-commutes bit for bit with the mirror flip of every axis and a symmetric
-problem keeps an exactly symmetric iterate (round-off asymmetry costs
-iterations).  Short axes transform with precomputed dense sine
-matrices, long ones with ``rfft``.  Its indices, view shapes and
-matrices are set up once per solve, so an application does only the
-arithmetic.  On box grids and on the vertical grid of the limit problem
-it solves the quadratic problem outright; on ball grids and for ``p >
-2`` it acts as an H^1 (Sobolev-gradient) preconditioner.
+The preconditioner is the exact inverse of the quadratic Hessian on the
+grid's free nodes (:mod:`elongate.precond`), set up once per solve.
+The quadratic density ``|grad u|^2 / 2`` is therefore solved in one
+iteration on every grid; for ``p > 2`` it acts as an H^1
+(Sobolev-gradient) preconditioner.
 
 A problem that is mirror-symmetric about the mid-plane of an axis (even
 cell count; Dirichlet nodes, cell mask and load equal to their flip; a
@@ -45,7 +38,6 @@ the iterate and a non-finite gradient all end the solve with
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -65,6 +57,7 @@ from .field import (
     load_cell_values,
 )
 from .geometry import Grid, cutoff
+from .precond import _box_inverse
 
 #: Armijo sufficient-decrease constant, backtracking factor and first trial step.
 _ARMIJO_C1 = 1e-4
@@ -76,9 +69,6 @@ _INTERP_RANGE = 1e3
 _MIN_STEP = 1e-16
 #: Relative size of an accepted step below which the iterate no longer moves.
 _EPS = float(np.finfo(float).eps)
-#: Axes with at most this many interior nodes take their sine transform from
-#: dense matrices (one BLAS product per parity); longer ones from ``rfft``.
-_DENSE_MAX = 128
 
 
 @dataclass(frozen=True)
@@ -114,6 +104,8 @@ class SolveReport:
     #: Axes about whose mid-plane the problem is symmetric; the solve ran
     #: on the upper half of each (see :func:`minimize`).
     mirror_axes: list[int]
+    #: Seconds of ``wall_time`` spent setting up the preconditioner.
+    precond_s: float
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -122,204 +114,6 @@ class SolveReport:
 def default_grad_tol(density: EnergyDensity) -> float:
     """Default dimensionless gradient tolerance: 1e-10 quadratic, 1e-9 otherwise."""
     return 1e-10 if density.p == 2 else 1e-9
-
-
-@functools.lru_cache(maxsize=None)
-def _sine_halves(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DST-I of an axis with ``cells`` cells, split by mode parity.
-
-    The full matrix is ``Q[k, j] = sqrt(2 / N) sin(pi k j / N)`` for ``k, j
-    = 1 .. N-1``.  Odd modes are even about the axis midpoint and even
-    modes odd, so the odd-mode rows act on the mirror sums (the middle
-    node last) and the even-mode rows on the mirror differences: the
-    returned blocks are ``Q[odd, :ceil((N-1)/2)]`` and ``Q[even,
-    :floor((N-1)/2)]``.  The argument ``k j`` is reduced in integers to
-    ``[0, N/2]``, so every entry is the correctly signed sine of an angle
-    in ``[0, pi/2]``: ``Q^2 = I`` holds to an ulp for ``N`` a power of two
-    up to 128 (plain ``sin(pi k j / N)`` is off by up to 6e-15 there).
-    Cached per ``N``, which only axes of at most ``_DENSE_MAX`` interior
-    nodes ask for; read-only.
-    """
-    table = math.sqrt(2.0 / cells) * np.sin(np.pi / cells * np.arange(cells // 2 + 1))
-    j = np.arange(1, cells)
-    blocks = []
-    for k, width in ((j[0::2], cells // 2), (j[1::2], (cells - 1) // 2)):
-        m = np.outer(k, j[:width]) % (2 * cells)
-        q = table[np.minimum(m % cells, cells - m % cells)]
-        q[m >= cells] *= -1.0
-        q.setflags(write=False)
-        blocks.append(q)
-    return blocks[0], blocks[1]
-
-
-def _sine_sums(values: np.ndarray, length: int, place: slice, take: slice, out: np.ndarray) -> None:
-    """``out = sum_j values_j sin(2 pi k j / length)`` over the middle axis, by ``rfft``.
-
-    The values sit at the indices ``place`` of a zero-padded sequence of
-    ``length``; the sums are taken at the indices ``k`` in ``take``.
-    """
-    pre, _, post = values.shape
-    z = np.zeros((pre, length, post))
-    z[:, place] = values
-    np.negative(np.fft.rfft(z, axis=1).imag[:, take], out=out)
-
-
-class _FoldedSine:
-    """The sine transform along one axis of an array of fixed shape, in mirror-folded form.
-
-    ``fold`` replaces the axis by its mirror sums (the middle node last)
-    followed by its mirror differences, and undoes that.  A flip of
-    the axis leaves the sums bitwise unchanged and negates the
-    differences exactly, and flips of the other axes then permute
-    nothing, so a transform of folded data commutes with every flip bit
-    for bit, whatever the order of its floating-point sums.  Odd modes
-    are even about the midpoint, so ``transform`` maps the sums to the
-    odd modes and the differences to the even modes, stored in that
-    order.  Axes with at most ``_DENSE_MAX`` interior nodes use the
-    orthonormal matrices of :func:`_sine_halves`; longer ones zero-padded
-    ``rfft`` sums, which scale a round trip by ``N / 2``.  Every index,
-    view shape and matrix orientation is fixed at construction, so a
-    call does only the arithmetic; both methods write into ``out``.
-
-    With ``half`` the axis holds nodes ``N/2 .. N-1`` of a mirror-symmetric
-    axis of ``N`` cells, the upper half that the solver keeps (see
-    :func:`_halve`).  Its mirror sums would be its values in reverse
-    order, twice over, and its differences vanish, so it is never folded
-    and transforms to the odd modes alone: by the odd-mode matrix with
-    its columns reversed, or by ``rfft`` sums over the reversed values.
-    The factor 2 is left to the caller.
-    """
-
-    def __init__(self, shape: tuple[int, ...], axis: int, half: bool = False):
-        j = shape[axis]  # interior nodes, or the free nodes of a halved axis
-        self.half = half
-        self.cells = cells = 2 * j if half else j + 1
-        c, h = cells // 2, j // 2  # sums and odd modes, differences and even modes
-        # nodes i and N - i
-        mirror = (_along(axis, slice(0, h)), _along(axis, slice(j - 1, c - 1, -1)))
-        folded = (_along(axis, slice(0, h)), _along(axis, slice(c, j)))
-        #: (sources, destinations) of the fold, then of its inverse
-        self.folds = ((mirror, folded), (folded, mirror))
-        self.middle = _along(axis, slice(h, c)) if c > h else None  # its own mirror
-        self.shape3 = (math.prod(shape[:axis]), j, math.prod(shape[axis + 1:]))
-        # one matrix product, not ``pre`` matrix-vector products
-        self.flat = self.shape3[2] == 1
-        parts = (slice(0, c), slice(c, j))[: 1 if half else 2]
-        dense = cells - 1 <= _DENSE_MAX
-        self.scale = 1.0 if dense else 0.5 * cells
-        self.products = self.sines = None
-        if dense:
-            # ``x @ q.T`` on a flat array, ``q @ x`` otherwise, and the
-            # transposes for the inverse; as views, never contiguous copies,
-            # so each product keeps its BLAS call and its round-off
-            blocks = _sine_halves(cells)
-            if half:  # columns reversed once, so BLAS sees positive strides
-                blocks = (np.ascontiguousarray(blocks[0][:, ::-1]),)
-            halves = list(zip(blocks, parts))
-            self.products = tuple(
-                tuple((q.T if self.flat != inverse else q, part) for q, part in halves)
-                for inverse in (False, True)
-            )
-        else:
-            sums = slice(c, 0, -1) if half else slice(1, c + 1)
-            modes, diffs = slice(1, cells, 2), slice(1, h + 1)
-            self.sines = tuple(
-                [(2 * cells, place, take, parts[0])] + [(cells, diffs, diffs, part) for part in parts[1:]]
-                for place, take in ((sums, modes), (modes, sums))
-            )
-
-    def fold(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Mirror sums, then differences, along the axis; ``inverse`` unfolds."""
-        (lo, hi), (plus, minus) = self.folds[inverse]
-        np.add(x[lo], x[hi], out=out[plus])
-        np.subtract(x[lo], x[hi], out=out[minus])
-        if self.middle is not None:
-            out[self.middle] = x[self.middle]
-        return out
-
-    def transform(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Modes of folded values, or with ``inverse`` folded values of modes."""
-        x3, y3 = x.reshape(self.shape3), out.reshape(self.shape3)
-        if self.sines is not None:
-            for length, place, take, part in self.sines[inverse]:
-                _sine_sums(x3[:, part], length, place, take, y3[:, part])
-        elif self.flat:
-            for q, part in self.products[inverse]:
-                np.matmul(x3[:, part, 0], q, out=y3[:, part, 0])
-        else:
-            for q, part in self.products[inverse]:
-                np.matmul(q, x3[:, part], out=y3[:, part])
-        return out
-
-
-def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverse of the box's quadratic Hessian, restricted to the free nodes.
-
-    With one centroid quadrature point the Hessian of ``|grad u|^2 / 2``
-    on the grid's bounding box is ``vol * sum_a K_a / h_a^2 (x)
-    prod_{b != a} M_b`` over the interior nodes, with the 1-D stiffness
-    ``K = tridiag(-1, 2, -1)`` and corner-mean mass ``M = tridiag(1, 2,
-    1) / 4``.  Sine vectors diagonalize both (fast diagonalization,
-    Lynch, Rice & Thomas 1964): the eigenvalues are ``vol * sum_a (4 /
-    h_a^2) sin^2(th_a / 2) prod_{b != a} cos^2(th_b / 2)`` with ``th_a =
-    k_a pi / N_a`` for ``N_a`` cells on axis ``a``, listed odd modes
-    first as :class:`_FoldedSine` stores them.  The result is zeroed at
-    every Dirichlet node, so the map is symmetric and positive definite
-    on the free nodes of any grid, exact on box grids, and commutes bit
-    for bit with the mirror flip of every axis.
-
-    On a grid halved along the axes ``halved`` (:func:`_halve`) it is the
-    exact inverse of the halved problem's Hessian: a halved axis of ``N /
-    2`` cells is the upper half of ``N``, its first node is free and only
-    its odd modes occur, each taken twice (the factor ``2^k`` for ``k``
-    halved axes).  Everything but the arithmetic is set up here, once
-    per solve; each application ping-pongs between two interior-size
-    arrays of its own.
-    """
-    inner = tuple(slice(0 if a in halved else 1, -1) for a in range(grid.n))
-    shape = tuple(m if a in halved else m - 1 for a, m in enumerate(grid.cell_shape))
-    axes = [_FoldedSine(shape, a, a in halved) for a in range(grid.n)]
-    folding = [ax for ax in axes if not ax.half]
-    half_angles = []
-    for a, ax in enumerate(axes):
-        m = ax.cells
-        k = np.arange(1, m, 2) if ax.half else np.concatenate((np.arange(1, m, 2), np.arange(2, m, 2)))
-        half_angles.append((0.5 * np.pi / m * k).reshape([-1 if b == a else 1 for b in range(grid.n)]))
-    lam = np.zeros(shape)
-    for a in range(grid.n):
-        term = 4.0 / grid.h[a] ** 2 * np.sin(half_angles[a]) ** 2
-        for b in range(grid.n):
-            if b != a:
-                term = term * np.cos(half_angles[b]) ** 2
-        lam += term
-    inv = 2.0 ** len(halved) / (lam * (grid.cell_volume * math.prod(ax.scale for ax in axes)))
-    fixed = grid.dirichlet[inner]
-    fixed = fixed if fixed.any() else None
-
-    def apply(residual: np.ndarray) -> np.ndarray:
-        # every step reads z and writes the other array, which then becomes z
-        z = folding[0].fold(residual[inner], np.empty(shape)) if folding else np.array(residual[inner])
-        w = np.empty(shape)
-        for ax in folding[1:]:
-            z, w = ax.fold(z, w), z
-        for ax in axes:
-            z, w = ax.transform(z, w), z
-        z *= inv
-        for ax in axes:
-            z, w = ax.transform(z, w, inverse=True), z
-        for ax in folding[:-1]:
-            z, w = ax.fold(z, w, inverse=True), z
-        out = np.zeros(grid.shape)
-        core = out[inner]
-        if folding:
-            folding[-1].fold(z, core, inverse=True)
-        else:
-            core[...] = z
-        if fixed is not None:
-            core[fixed] = 0.0
-        return out
-
-    return apply
 
 
 def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_norm):
@@ -494,7 +288,9 @@ def minimize(
     """Minimize the discrete energy over admissible fields on the grid.
 
     Every density goes through Polak-Ribiere CG preconditioned by the
-    box inverse.  Returns the final field and a report; running out of
+    exact inverse of the quadratic Hessian (:func:`_box_inverse`), whose
+    set-up time the report gives as ``precond_s``.  Returns the final
+    field and a report; running out of
     iterations, a failed line search, a stagnated step and a non-finite
     gradient are reported (``converged=False``), not raised.  ``warm_start`` seeds the
     iteration after projection onto the admissible set;
@@ -527,14 +323,16 @@ def minimize(
     full_callback = None if callback is None else (lambda k, x: callback(k, _mirror_back(x, axes)))
 
     t0 = time.perf_counter()
+    precond = _box_inverse(half, axes)
+    precond_s = time.perf_counter() - t0
     x, iters, gmax, converged, trials = _descent(
         half, density, _load_vector(half, _upper_half(f_cells, axes)), x0, tol, opts.max_iters,
-        full_callback, _box_inverse(half, axes), _max_norm(axes),
+        full_callback, precond, _max_norm(axes),
     )
     wall = time.perf_counter() - t0
     field = ScalarField(grid, _mirror_back(x, axes))
     energy = _assemble_energy_arr(grid, field.values, density, f_cells)
-    return field, SolveReport(converged, iters, gmax, energy, wall, tol, trials, list(axes))
+    return field, SolveReport(converged, iters, gmax, energy, wall, tol, trials, list(axes), precond_s)
 
 
 def solve_limit(

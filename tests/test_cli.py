@@ -169,12 +169,16 @@ def test_solve_writes_artifacts(tmp_path):
     assert report["solve"]["trials"] >= report["solve"]["iterations"]
     # the symmetric box problem and its limit were solved on halved grids
     assert report["solve"]["mirror_axes"] == [0, 1] and report["limit"]["mirror_axes"] == [0]
+    # the preconditioner's set-up time is reported as part of each solve's time
+    for name in ("solve", "limit"):
+        assert 0.0 <= report[name]["precond_s"] <= report[name]["wall_time"]
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):
-    # a ball cross-section: the box preconditioner is not exact there, so
-    # one iteration cannot converge
+    # p = 4 on a ball cross-section: the preconditioner inverts only the
+    # quadratic Hessian, so one iteration cannot converge
     cfg = _write_config(tmp_path / "c.json", domain={"r": 2, "cross_section": "ball"},
+                        density={"kind": "p-dirichlet", "p": 4.0},
                         solver={"max_iters": 1, "grad_tol": 1e-12})
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "converge" in capsys.readouterr().err

@@ -27,7 +27,8 @@ from elongate import (
 )
 from elongate.field import _assemble_gradient_arr, _cell_gradients_arr, _load_vector, load_cell_values
 from elongate.density import EnergyDensity
-from elongate.solver import _DENSE_MAX, _FoldedSine, _box_inverse, _halve
+from elongate.precond import _DENSE_MAX, _FoldedSine, _box_inverse
+from elongate.solver import _halve
 
 CS1 = CrossSection("box", 1)
 LOAD2 = Load.constant(2.0)
@@ -160,9 +161,10 @@ def test_minimize_zero_load_zero_start():
 
 
 def test_nonconvergence_is_reported_not_raised():
-    # ball grid: the box preconditioner is inexact, two iterations fall short
+    # p = 4 on a ball grid: the preconditioner inverts the quadratic
+    # Hessian only, and two of the 36 iterations this solve needs fall short
     grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), 1 / 4)
-    d = make_density("quadratic", r=2, n=3)
+    d = make_density("p-dirichlet", 4.0, r=2, n=3)
     u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-10, max_iters=2))
     assert not rep.converged
     assert rep.iterations == 2
@@ -243,6 +245,34 @@ def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
             b[sub.dirichlet] = 0.0
             Ab = _hessian_product(sub, apply_inverse(b))
             assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("r,ell,halfwidth,h,dense_max", [
+    (2, 2.0, 1.0, 1 / 4, _DENSE_MAX), (2, 1.5, 0.5, 1 / 8, _DENSE_MAX), (3, 1.0, 1.0, 1 / 4, _DENSE_MAX),
+    (2, 1.0, 0.5, 1 / 8, 8),
+], ids=["r2", "r2-fine", "r3", "r2-rfft"])
+def test_ball_inverse_inverts_quadratic_hessian(monkeypatch, r, ell, halfwidth, h, dense_max):
+    # exact oracle on masked grids: with its capacitance correction the
+    # preconditioner inverts the masked Hessian on the free nodes, on the
+    # full grid and halved along the horizontal, the vertical or every even
+    # axis; a lowered threshold sends the horizontal axes through rfft
+    monkeypatch.setattr(elongate.precond, "_DENSE_MAX", dense_max)
+    grid = build_grid(DomainSpec(CrossSection("ball", r), ell, (halfwidth,)), h)
+    assert grid.outside_cells is not None
+    assert (grid.shape[0] - 2 > dense_max) == (dense_max < _DENSE_MAX) and grid.shape[-1] - 2 <= dense_max
+    even = tuple(a for a in range(grid.n) if grid.cell_shape[a] % 2 == 0)
+    rng = np.random.default_rng(10 * r + dense_max)
+    for halved in dict.fromkeys([(), even, even[:r], even[r:]]):
+        sub = _halve(grid, halved)
+        apply_inverse = _box_inverse(sub, halved)
+        x = rng.standard_normal(sub.shape)
+        x[sub.dirichlet] = 0.0
+        z = apply_inverse(_hessian_product(sub, x))
+        assert np.max(np.abs(z - x)) <= 1e-12 * np.max(np.abs(x))
+        b = rng.standard_normal(sub.shape)
+        b[sub.dirichlet] = 0.0
+        Ab = _hessian_product(sub, apply_inverse(b))
+        assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 200])
@@ -452,13 +482,13 @@ def _dense_solve(grid, d, load):
 
 
 def test_ball_solve_matches_dense_solve():
-    # exact oracle on a masked grid, where the box inverse is only a
-    # preconditioner: the dense assembled system solved directly
+    # exact oracle on a masked grid: the dense assembled system solved
+    # directly; the capacitance-corrected box inverse solves it outright
     grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
     d = make_density("quadratic", r=2, n=3)
     free, exact = _dense_solve(grid, d, LOAD2)
     u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-12))
-    assert rep.converged and rep.iterations > 1
+    assert rep.converged and rep.iterations <= 2
     assert np.max(np.abs(u.values.ravel()[free] - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
@@ -524,19 +554,35 @@ def test_mirror_axes():
     assert rep.mirror_axes == [0]
 
 
+@pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 20, 1 / 24])
+def test_even_sampled_load_halves_the_vertical_axis(h):
+    # the vertical cell centroids are sampled mirror-exactly, so a load even
+    # in the vertical coordinate gives cell values equal to their flip at
+    # non-dyadic spacings too
+    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), h)
+    load = Load.sampled(lambda y: 2.0 - y * y)
+    f_cells = load_cell_values(grid, load)
+    assert np.array_equal(f_cells, np.flip(f_cells, 1))
+    _, rep = minimize(grid, make_density("quadratic", r=1, n=2), load, SolveOptions(max_iters=3))
+    assert rep.mirror_axes == [0, 1]
+
+
 def test_quadratic_ball_solve_iterations():
-    # the interpolated step is exact on a quadratic only if its clamp lets
-    # it through: 34 iterations with the clamp at 1e3, 54 at 10
-    grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), 1 / 8)
+    # the preconditioner is the exact masked inverse, so the count does not
+    # grow as h shrinks (34 and 98 iterations at ell = 2 with the plain box
+    # inverse)
     d = make_density("quadratic", r=2, n=3)
-    u, rep = minimize(grid, d, LOAD2)
-    assert rep.converged and rep.iterations <= 40
-    # the solve carries cell gradients, but confirms convergence on a
-    # gradient assembled from the field itself
-    assert rep.grad_max == np.max(np.abs(assemble_energy_gradient(u, d, LOAD2)))
-    # the grid, the load and every kernel are mirror-exact, so is the solution
-    for a in range(grid.n):
-        assert np.array_equal(u.values, np.flip(u.values, a))
+    for h in (1 / 8, 1 / 16):
+        grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), h)
+        u, rep = minimize(grid, d, LOAD2)
+        assert rep.converged and rep.iterations <= 2
+        assert 0.0 <= rep.precond_s <= rep.wall_time
+        # the solve carries cell gradients, but confirms convergence on a
+        # gradient assembled from the field itself
+        assert rep.grad_max == np.max(np.abs(assemble_energy_gradient(u, d, LOAD2)))
+        # the grid, the load and every kernel are mirror-exact, so is the solution
+        for a in range(grid.n):
+            assert np.array_equal(u.values, np.flip(u.values, a))
 
 
 def test_one_iteration_solve_gradient_count():
@@ -601,15 +647,16 @@ def test_warm_start_equivalence():
     assert abs(rep_cold.energy - rep_warm.energy) <= 10 * 1e-10 * scale
 
 
-# the quadratic case solves on a ball grid, where it takes more than the one
-# iteration of a box grid
+# the quadratic case is a cross-coupled density on a ball grid, which the
+# preconditioner (the inverse of the plain quadratic Hessian) does not
+# solve in one iteration
 @pytest.mark.parametrize("kind,p,cs,ell,h,gtol", [
     ("p-dirichlet", 4.0, CS1, 1.0, 1 / 4, 1e-7),
-    ("quadratic", None, CrossSection("ball", 2), 2.0, 1 / 4, 1e-10),
+    ("cross-coupled", None, CrossSection("ball", 2), 2.0, 1 / 4, 1e-10),
 ], ids=["p-dirichlet", "quadratic"])
 def test_descent_methods_monotone_energy(kind, p, cs, ell, h, gtol):
     grid = build_grid(DomainSpec(cs, ell, (1.0,)), h)
-    d = make_density(kind, p, r=cs.r, n=cs.r + 1)
+    d = _CrossCoupled(r=cs.r, n=cs.r + 1) if kind == "cross-coupled" else make_density(kind, p, r=cs.r, n=cs.r + 1)
     opts = SolveOptions(grad_tol=gtol, max_iters=3000)
     energies = []
 
