@@ -152,8 +152,9 @@ def _gradient_scales(h: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[flo
 
 
 def _cell_gradients_arr(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Cell gradients of nodal ``values`` on the grid or on a box of its nodes."""
     n = grid.n
-    out = np.empty(grid.cell_shape + (n,))
+    out = np.empty(tuple(m - 1 for m in values.shape) + (n,))
     for a, scale in enumerate(_gradient_scales(grid.h)[0]):
         comp = values
         for b in range(n):
@@ -183,14 +184,16 @@ def _vertical_centers(grid: Grid) -> list[np.ndarray]:
 
     Along each vertical axis the centroids are ``mid + h (i - (N - 1) /
     2)`` for ``N`` cells about the axis midpoint ``mid``: the offsets of
-    cells ``i`` and ``N - 1 - i`` are exact negatives, so a load even
-    about a midpoint at 0 gives cell values equal to their flip bit for
-    bit, whatever the spacing.
+    cells ``i`` and ``N - 1 - i`` are exact negatives.  On a box ``(-w,
+    w)`` split into ``h = 2w / N``, ``mid`` is 0 (``lo + N h / 2`` can miss it
+    by an ulp), so a load even in the vertical coordinate gives cell values
+    equal to their flip bit for bit, whatever the spacing.
     """
     centers = []
     for a in range(grid.r, grid.n):
-        cells, h = grid.cell_shape[a], grid.h[a]
-        centers.append(grid.lo[a] + 0.5 * cells * h + h * (np.arange(cells) - 0.5 * (cells - 1)))
+        cells, h, lo = grid.cell_shape[a], grid.h[a], grid.lo[a]
+        mid = 0.0 if -2.0 * lo / cells == h else lo + 0.5 * cells * h
+        centers.append(mid + h * (np.arange(cells) - 0.5 * (cells - 1)))
     return np.meshgrid(*centers, indexing="ij", sparse=True)
 
 
@@ -268,20 +271,24 @@ def lp_norm_p(grid: Grid, values: np.ndarray, p: float, region: np.ndarray | Non
     boolean cell mask (default: every in-domain cell); an empty region
     integrates to 0.
     """
+    region = grid.cell_mask if region is None else (region & grid.cell_mask)
+    return _norm_p(grid, values, p, region)
+
+
+def _norm_p(grid: Grid, values, p: float, weights: np.ndarray) -> float:
+    """:func:`lp_norm_p` with per-cell weights (a region weighs 1) over the
+    grid's cells or a box of them: the sum of ``weight * |value|^p`` in C order."""
     if p < 1:
         raise ValueError("p must be at least 1")
     values = np.asarray(values, dtype=float)
-    ncell = len(grid.cell_shape)
-    if values.ndim == ncell + 1:
+    if values.ndim == weights.ndim + 1:
         mag = np.sqrt(_dot(values, values))
-    elif values.ndim == ncell:
+    elif values.ndim == weights.ndim:
         mag = np.abs(values)
     else:
         raise ValueError("values must be one scalar or one vector per cell")
-    region = grid.cell_mask if region is None else (region & grid.cell_mask)
-    if not region.any():
-        return 0.0
-    return float(grid.cell_volume * np.sum(mag[region] ** p))
+    keep = weights > 0
+    return float(grid.cell_volume * np.sum(weights[keep] * mag[keep] ** p))
 
 
 def extend_vertical(w: ScalarField, grid: Grid) -> ScalarField:

@@ -248,36 +248,16 @@ def _assemble_grid(
         raise NodeBudgetError(f"grid would have {count} nodes, budget is {budget}")
     h = tuple(e / m for e, m in zip(extents, ncells))
 
-    dirichlet = np.zeros(shape, dtype=bool)
-    for a in range(len(shape)):
-        idx: list = [slice(None)] * len(shape)
-        idx[a] = 0
-        dirichlet[tuple(idx)] = True
-        idx[a] = -1
-        dirichlet[tuple(idx)] = True
-
-    cell_mask = np.ones(tuple(ncells), dtype=bool)
-    if cross_section is not None and cross_section.shape == "ball":
-        nodes = np.meshgrid(*[los[a] + h[a] * np.arange(shape[a]) for a in range(r)], indexing="ij")
-        ng = gauge(cross_section, np.stack(nodes, axis=-1))
-        outside = ng >= ell * (1 - 1e-12)
-        dirichlet |= outside.reshape(outside.shape + (1,) * (len(shape) - r))
-        centers = np.meshgrid(
-            *[los[a] + h[a] * (0.5 + np.arange(ncells[a])) for a in range(r)], indexing="ij"
-        )
-        cg = gauge(cross_section, np.stack(centers, axis=-1))
-        cell_mask &= (cg < ell).reshape(cg.shape + (1,) * (len(shape) - r))
-
-    return Grid(
-        r=r,
-        ell=ell,
-        cross_section=cross_section,
-        lo=tuple(float(x) for x in los),
-        h=h,
-        shape=shape,
-        dirichlet=dirichlet,
-        cell_mask=cell_mask,
-    )
+    dirichlet = np.ones(shape, dtype=bool)
+    dirichlet[tuple(slice(1, -1) for _ in shape)] = False
+    box = Grid(r, ell, cross_section, tuple(float(x) for x in los), h, shape, dirichlet, np.ones(ncells, bool))
+    if cross_section is None or cross_section.shape != "ball":
+        return box
+    pad = (1,) * (len(shape) - r)
+    outside = box.node_gauge() >= ell * (1 - 1e-12)
+    inside = box.cell_gauge() < ell
+    return Grid(r, ell, cross_section, box.lo, h, shape, dirichlet | outside.reshape(outside.shape + pad),
+                box.cell_mask & inside.reshape(inside.shape + pad))
 
 
 def build_grid(domain: DomainSpec, target_h: float, max_nodes: int | None = None) -> Grid:

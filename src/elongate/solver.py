@@ -301,7 +301,8 @@ def minimize(
     upper half of those axes, with ``2^k`` times less data per pass for
     ``k`` halved axes.  The warm start is cut to that half; the result
     and every callback's values are mirrored back to the full grid, and
-    the reported energy and ``grad_max`` are the full grid's.
+    the reported energy (``2^k`` times the halved grid's) and ``grad_max``
+    are the full grid's.
     """
     opts = opts or SolveOptions()
     if density.n != grid.n:
@@ -310,7 +311,7 @@ def minimize(
     tol = grad_tol * load.max_abs(grid) * grid.cell_volume
     f_cells = load_cell_values(grid, load)
     axes = _mirror_axes(grid, density, f_cells)
-    half = _halve(grid, axes)
+    half, f_half = _halve(grid, axes), _upper_half(f_cells, axes)
 
     if warm_start is None:
         x0 = np.zeros(half.shape)
@@ -326,12 +327,12 @@ def minimize(
     precond = _box_inverse(half, axes)
     precond_s = time.perf_counter() - t0
     x, iters, gmax, converged, trials = _descent(
-        half, density, _load_vector(half, _upper_half(f_cells, axes)), x0, tol, opts.max_iters,
+        half, density, _load_vector(half, f_half), x0, tol, opts.max_iters,
         full_callback, precond, _max_norm(axes),
     )
     wall = time.perf_counter() - t0
     field = ScalarField(grid, _mirror_back(x, axes))
-    energy = _assemble_energy_arr(grid, field.values, density, f_cells)
+    energy = 2 ** len(axes) * _assemble_energy_arr(half, x, density, f_half)  # 2^k mirror images
     return field, SolveReport(converged, iters, gmax, energy, wall, tol, trials, list(axes), precond_s)
 
 

@@ -24,14 +24,14 @@ from .density import EnergyDensity
 from .field import (
     Load,
     ScalarField,
-    cell_gradients,
-    cell_means,
+    _along,
+    _cell_gradients_arr,
+    _cell_means_arr,
+    _norm_p,
     embed_field,
-    extend_vertical,
-    lp_norm_p,
 )
-from .geometry import CrossSection, DomainSpec, Grid, build_grid, build_vertical_grid, region_cells
-from .solver import SolveOptions, SolveReport, minimize, solve_limit
+from .geometry import CrossSection, DomainSpec, Grid, build_grid, build_vertical_grid
+from .solver import SolveOptions, SolveReport, _upper_half, minimize, solve_limit
 
 SWEEP_CSV_HEADER = (
     "ell,ell0,h_horiz,h_vert,nodes,iters,converged,J_ell,"
@@ -124,17 +124,56 @@ class SweepResult:
     final_report: SolveReport
 
 
-def _measure(grid: Grid, u: ScalarField, u_ext: ScalarField, p: float, ell0: float) -> dict:
-    gu = cell_gradients(u)
-    gdiff = gu - cell_gradients(u_ext)
-    core = region_cells(grid, "core", ell0)
-    err_grad_p = lp_norm_p(grid, gdiff, p, core)
-    err_val_p = lp_norm_p(grid, cell_means(u) - cell_means(u_ext), p, core)
+def _core_slab(grid: Grid, t: float, axes: tuple[int, ...] = ()) -> tuple[tuple[slice, ...], np.ndarray]:
+    """The core at level ``t`` (:func:`~elongate.geometry.region_cells`) on its
+    bounding slab of nodes, cut at the mid-plane of each of ``axes``.
+
+    Returns the slab's node slices and, per slab cell, the count of its
+    mirror images about those mid-planes in the core: so weighted, a
+    quantity equal on mirror-image cells sums to its sum over the core.
+    """
+    inside = grid.cell_gauge() < t
+    box = []
+    for a, cells in enumerate(grid.cell_shape):
+        lo, hi = 0, cells
+        if a < grid.r:  # the cells sharing this coordinate with a core cell
+            hits = np.flatnonzero(inside.any(tuple(set(range(grid.r)) - {a})))
+            lo, hi = (hits[0], hits[-1] + 1) if len(hits) else (cells // 2, cells // 2)
+        if a in axes:  # with the mirror images of its cells
+            lo = min(lo, cells - hi)
+            hi = cells - lo
+        box.append(slice(lo, hi))
+    inside = np.broadcast_to(inside.reshape(inside.shape + (1,) * (grid.n - grid.r)), grid.cell_shape)
+    weights = (inside[tuple(box)] & grid.cell_mask[tuple(box)]).astype(float)
+    for a in axes:  # fold the lower half onto the upper
+        mid = weights.shape[a] // 2
+        weights = weights[_along(a, slice(mid, None))] + np.flip(weights[_along(a, slice(0, mid))], a)
+    return tuple(slice(s.stop - m, s.stop + 1) for s, m in zip(box, weights.shape)), weights
+
+
+def _measure(grid: Grid, u: ScalarField, rep: SolveReport, w: ScalarField, wrep: SolveReport, p: float,
+             ell0: float) -> dict:
+    """The norm columns of a record from the halved grid and the core slab.
+
+    ``u`` and the limit ``w`` are mirror images about the mid-planes of
+    their ``mirror_axes``, so the gradient energy is ``2^k`` times the upper
+    half's, and the core slab is cut on the mid-planes of both; ``w`` is
+    extended over that slab alone.
+    """
+    axes, r = tuple(rep.mirror_axes), grid.r
+    g_half = _cell_gradients_arr(grid, _upper_half(u.values, axes))
+    total = 2 ** len(axes) * _norm_p(grid, g_half, p, _upper_half(grid.cell_mask, axes))
+    nodes, weights = _core_slab(grid, ell0, tuple(a for a in axes if a < r or a - r in wrep.mirror_axes))
+    vals = u.values[nodes]
+    ext = np.where(grid.dirichlet[nodes], 0.0, w.values[nodes[r:]])
+    gu = _cell_gradients_arr(grid, vals)
+    err_grad_p = _norm_p(grid, gu - _cell_gradients_arr(grid, ext), p, weights)
+    err_val_p = _norm_p(grid, _cell_means_arr(vals) - _cell_means_arr(ext), p, weights)
     return {
-        "total_grad_energy": lp_norm_p(grid, gu, p),
+        "total_grad_energy": total,
         "err_grad_p": err_grad_p,
         "err_w1p": err_grad_p + err_val_p,
-        "hgrad_p": lp_norm_p(grid, gu[..., : grid.r], p, core),
+        "hgrad_p": _norm_p(grid, gu[..., :r], p, weights),
     }
 
 
@@ -161,8 +200,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         grid = build_grid(dom, config.target_h, config.max_nodes)
         seed = embed_field(warm, grid) if warm is not None else None
         u, rep = minimize(grid, config.density, config.load, config.options, warm_start=seed)
-        u_ext = extend_vertical(w, grid)
-        meas = _measure(grid, u, u_ext, p, config.ell0)
+        meas = _measure(grid, u, rep, w, wrep, p, config.ell0)
         record = SweepRecord(
             ell=ell,
             ell0=config.ell0,
@@ -213,20 +251,21 @@ def decay_profile(u: ScalarField, limit_ext: ScalarField, p: float, t_values: Se
 
     ``g(t)`` integrates nonnegative densities over nested regions, so it
     is nondecreasing in ``t``; successive ratios expose the geometric
-    contraction behind exponential decay.
+    contraction behind exponential decay.  Only the nodes of the core's
+    bounding slab at the largest ``t`` are read.
     """
     t_values = np.asarray(sorted(float(t) for t in t_values))
     if t_values.size == 0 or t_values[0] <= 0:
         raise ValueError("t values must be positive")
-    grid = u.grid
-    gu = cell_gradients(u)
-    gl = cell_gradients(limit_ext)
+    grid, r = u.grid, u.grid.r
+    outer, _ = _core_slab(grid, t_values[-1])
+    gu = _cell_gradients_arr(grid, u.values[outer])
+    gv = gu[..., r:] - _cell_gradients_arr(grid, limit_ext.values[outer])[..., r:]
     g = np.empty(t_values.shape)
     for i, t in enumerate(t_values):
-        core = region_cells(grid, "core", t)
-        g[i] = lp_norm_p(grid, gu[..., : grid.r], p, core) + lp_norm_p(
-            grid, gu[..., grid.r:] - gl[..., grid.r:], p, core
-        )
+        nodes, weights = _core_slab(grid, t)
+        crop = tuple(slice(n.start - o.start, n.stop - 1 - o.start) for n, o in zip(nodes, outer))
+        g[i] = _norm_p(grid, gu[crop][..., :r], p, weights) + _norm_p(grid, gv[crop], p, weights)
     return Profile(t_values, g)
 
 
@@ -322,109 +361,75 @@ def convergence_verdicts(
     the fit floor the decay is treated as passed at the tolerance floor.
     """
     good = [rec for rec in records if rec.converged]
-    verdicts: list[Verdict] = []
-    p = density.p
+    p, k = density.p, density.k
+    few = "fewer than three converged records"
 
     scal = [rec for rec in good if rec.ell >= _SCALING_ELL_MIN]
+    scal = scal if len(scal) >= 3 else good
     if len(scal) < 3:
-        scal = good
-    if len(scal) >= 3:
+        verdicts = [Verdict("coarse_energy_scaling", True, None, {}, few)]
+    else:
         fit = fit_rate([(rec.ell, rec.total_grad_energy) for rec in scal], "power")
         ratios = np.array([rec.total_grad_energy / rec.ell**r for rec in scal])
         if fit.ok and ratios.min() > 0:
-            ratio_spread = float(ratios.max() / ratios.min())
-            ok = abs(fit.exponent - r) <= _SCALING_SLOPE_TOL and ratio_spread <= _SCALING_RATIO_BOUND
-            measured = {"slope": fit.exponent, "r2": fit.r2, "ratio_spread": ratio_spread}
-            verdicts.append(Verdict("coarse_energy_scaling", True, bool(ok), measured))
+            spread = float(ratios.max() / ratios.min())
+            ok = abs(fit.exponent - r) <= _SCALING_SLOPE_TOL and spread <= _SCALING_RATIO_BOUND
+            measured = {"slope": fit.exponent, "r2": fit.r2, "ratio_spread": spread}
+            verdicts = [Verdict("coarse_energy_scaling", True, bool(ok), measured)]
         else:
-            verdicts.append(
-                Verdict(
-                    "coarse_energy_scaling",
-                    True,
-                    True,
-                    {"max_total_grad_energy": float(max(rec.total_grad_energy for rec in scal))},
-                    "gradient energy at zero; scaling holds vacuously",
-                )
-            )
-    else:
-        verdicts.append(
-            Verdict("coarse_energy_scaling", True, None, {}, "fewer than three converged records")
-        )
+            measured = {"max_total_grad_energy": float(max(rec.total_grad_energy for rec in scal))}
+            note = "gradient energy at zero; scaling holds vacuously"
+            verdicts = [Verdict("coarse_energy_scaling", True, True, measured, note)]
 
-    if len(good) >= 3:
+    if len(good) < 3:
+        verdicts += [Verdict(name, True, None, {}, few) for name in ("interior_error_bounded",
+                                                                     "horizontal_gradient_vanishes")]
+    else:
         errs = np.array([rec.err_grad_p for rec in good])
-        bound = errs[0] * (1.0 + _INTERIOR_SLACK) + _MONOTONE_SLACK
-        verdicts.append(
-            Verdict(
-                "interior_error_bounded",
-                True,
-                bool(errs.max() <= bound),
-                {"first": float(errs[0]), "max": float(errs.max())},
-                "core-region error stays bounded while the domain grows",
-            )
-        )
+        bounded = errs.max() <= errs[0] * (1.0 + _INTERIOR_SLACK) + _MONOTONE_SLACK
+        measured = {"first": float(errs[0]), "max": float(errs.max())}
+        note = "core-region error stays bounded while the domain grows"
         hg = np.array([rec.hgrad_p for rec in good])
         monotone = bool(np.all(np.diff(hg) <= _MONOTONE_SLACK))
-        final_ok = hg[-1] <= _HGRAD_FINAL_MAX
-        verdicts.append(
-            Verdict(
-                "horizontal_gradient_vanishes",
-                True,
-                bool(monotone and final_ok),
-                {"final": float(hg[-1]), "monotone": monotone},
-            )
-        )
-    else:
-        note = "fewer than three converged records"
-        verdicts.append(Verdict("interior_error_bounded", True, None, {}, note))
-        verdicts.append(Verdict("horizontal_gradient_vanishes", True, None, {}, note))
+        verdicts += [
+            Verdict("interior_error_bounded", True, bool(bounded), measured, note),
+            Verdict("horizontal_gradient_vanishes", True, bool(monotone and hg[-1] <= _HGRAD_FINAL_MAX),
+                    {"final": float(hg[-1]), "monotone": monotone}),
+        ]
 
-    power_applies = 0 < density.k < p and r < density.k * p / (p - density.k)
-    if power_applies:
-        fit = fits.get("power")
+    if 0 < k < p and r < k * p / (p - k):
         target = power_rate_target(density, r)
-        if fit is None:
-            verdicts.append(Verdict("power_rate", True, None, {}, "no power fit supplied"))
-        elif fit.ok:
-            ok = fit.n_points >= 3 and fit.r2 >= _POWER_R2_MIN and fit.exponent <= target + _POWER_SLACK
-            measured = {"exponent": fit.exponent, "target": target, "r2": fit.r2, "n_points": fit.n_points}
-            verdicts.append(Verdict("power_rate", True, bool(ok), measured))
-        else:
-            at_floor = good and max(rec.err_w1p for rec in good) <= fit.floor
-            if at_floor:
-                verdicts.append(
-                    Verdict("power_rate", True, True, {"target": target}, "all points at the fit floor")
-                )
-            else:
-                verdicts.append(
-                    Verdict("power_rate", True, None, {"n_points": fit.n_points}, "insufficient data")
-                )
+        verdicts.append(_rate_verdict(
+            "power", fits, (rec.err_w1p for rec in good), {"target": target},
+            lambda f: (f.n_points >= 3 and f.r2 >= _POWER_R2_MIN and f.exponent <= target + _POWER_SLACK,
+                       {"exponent": f.exponent, "target": target, "r2": f.r2, "n_points": f.n_points}),
+        ))
     else:
         verdicts.append(Verdict("power_rate", False, None, {}, "needs 0 < k < p and r < k p/(p-k)"))
-
-    exp_applies = density.k == 0 and density.beta > 0
-    if exp_applies:
-        fit = fits.get("exponential")
-        if fit is None:
-            verdicts.append(Verdict("exponential_rate", True, None, {}, "no exponential fit supplied"))
-        elif fit.ok:
-            ok = fit.exponent > 0 and fit.r2 >= _EXP_R2_MIN
-            measured = {"rate": fit.exponent, "r2": fit.r2, "n_points": fit.n_points}
-            verdicts.append(Verdict("exponential_rate", True, bool(ok), measured))
-        else:
-            at_floor = good and max(rec.err_grad_p ** (1.0 / p) for rec in good) <= fit.floor
-            if at_floor:
-                verdicts.append(
-                    Verdict("exponential_rate", True, True, {}, "all points at the fit floor")
-                )
-            else:
-                verdicts.append(
-                    Verdict("exponential_rate", True, None, {"n_points": fit.n_points}, "insufficient data")
-                )
+    if k == 0 and density.beta > 0:
+        verdicts.append(_rate_verdict(
+            "exponential", fits, (rec.err_grad_p ** (1.0 / p) for rec in good), {},
+            lambda f: (f.exponent > 0 and f.r2 >= _EXP_R2_MIN,
+                       {"rate": f.exponent, "r2": f.r2, "n_points": f.n_points}),
+        ))
     else:
         verdicts.append(Verdict("exponential_rate", False, None, {}, "needs k = 0 and beta > 0"))
-
     return verdicts
+
+
+def _rate_verdict(model: str, fits: dict[str, RateFit], errors, at_floor: dict, judge) -> Verdict:
+    """An applicable rate verdict on the model's fit: ``judge(fit)`` gives the
+    outcome and measurements of an ok fit; with too few points above the
+    floor it passes when every fitted error is at or below the floor."""
+    name, fit = f"{model}_rate", fits.get(model)
+    if fit is None:
+        return Verdict(name, True, None, {}, f"no {model} fit supplied")
+    if fit.ok:
+        ok, measured = judge(fit)
+        return Verdict(name, True, bool(ok), measured)
+    if max(errors, default=math.nan) <= fit.floor:
+        return Verdict(name, True, True, at_floor, "all points at the fit floor")
+    return Verdict(name, True, None, {"n_points": fit.n_points}, "insufficient data")
 
 
 def records_to_csv(records: Sequence[SweepRecord]) -> str:

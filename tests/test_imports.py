@@ -1,9 +1,11 @@
-"""The imports of the ``elongate`` modules.
+"""The imports and private helpers of the ``elongate`` modules.
 
 Every name a module imports is used in that module (``__init__.py`` is
 left out: its imports are the package's re-exports), and every module
 imports only the standard library, ``numpy`` and ``elongate`` itself:
-numpy is the only runtime dependency.
+numpy is the only runtime dependency.  Every module-level private
+function or class (``_name``) is referenced somewhere in the package
+outside its own definition.
 """
 
 import ast
@@ -65,3 +67,38 @@ def test_foreign_imports_are_found():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
 def test_module_imports_only_numpy_and_the_standard_library(path):
     assert _foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no code outside their
+    own definition refers to, by name, attribute or import, in any module."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = getattr(top, "name", None) if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            if owner and owner.startswith("_") and not owner.startswith("__"):
+                defined.append((module, owner))
+            for node in ast.walk(top):
+                name = (
+                    node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else None
+                )
+                if name is not None and name != owner:
+                    used.add(name)
+    return sorted(f"{module}.{name}" for module, name in defined if name not in used)
+
+
+def test_dead_helpers_are_found():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n\nclass _Gone:\n    pass\n",
+        "b": "from .a import _used\n\ndef __dunder__():\n    pass\n",
+        "c": "import a\n\ndef f():\n    return a._Gone\n\ndef _only_named_in_a_string():\n    return '_dead'\n",
+    }
+    assert _dead_helpers(sources) == ["a._dead", "c._only_named_in_a_string"]
+
+
+def test_every_private_helper_is_used():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in ALL_MODULES}
+    assert _dead_helpers(sources) == []

@@ -1,0 +1,106 @@
+"""The quadratic box sweep against its closed-form continuum values.
+
+The A1 problem, ``-Δu = 2`` on ``(-ell, ell) x (-1, 1)`` with zero
+boundary values, has a series solution.  With ``lam_k = (2k+1) pi/2``
+and ``c_k = 4 (-1)^k / lam_k^3``, the cosine coefficients of the limit
+profile ``1 - y^2``, the minimizer is ``1 - y^2 - sum_k c_k cosh(lam_k
+x) cos(lam_k y) / cosh(lam_k ell)``.  Its gradient energy and the two
+core norms (``p = 2``, core ``|x| < ell0``) follow by orthogonality in
+``y``.  Sweeps at ``h = 1/16`` and ``1/32`` converge at ``O(h^2)``, so
+the Richardson value ``(4 E_32 - E_16) / 3`` is compared with them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from elongate import CrossSection, Load, SolveOptions, SweepConfig, make_density, run_sweep
+
+ELL0 = 1.0
+ELLS = tuple(float(e) for e in range(1, 13))
+#: Enough terms for every ell: the core norms converge like k^-4 at ell = ell0.
+TERMS = 2000
+
+
+def _modes():
+    k = np.arange(TERMS)
+    lam = (2 * k + 1) * math.pi / 2
+    return lam, 4.0 * (-1.0) ** k / lam**3
+
+
+def _core_factors(ell, ell0):
+    """``sinh(2 lam ell0) / cosh^2(lam ell)`` and ``1 / cosh^2(lam ell)``, overflow-free."""
+    lam, c = _modes()
+    q = np.exp(-2 * lam * ell)
+    ratio = 2 * (np.exp(2 * lam * (ell0 - ell)) - np.exp(-2 * lam * (ell0 + ell))) / (1 + q) ** 2
+    return lam, c, ratio, 4 * q / (1 + q) ** 2
+
+
+def total_grad_energy(ell):
+    """``16/3 ell - 32 (2/pi)^5 sum_k (2k+1)^-5 tanh((2k+1) pi ell / 2)``."""
+    k = np.arange(TERMS) * 2.0 + 1.0
+    return 16 / 3 * ell - 32 * (2 / math.pi) ** 5 * float(np.sum(k**-5 * np.tanh(k * math.pi * ell / 2)))
+
+
+def err_grad_p(ell, ell0):
+    """``sum_k c_k^2 lam_k sinh(2 lam_k ell0) / cosh^2(lam_k ell)``."""
+    lam, c, ratio, _ = _core_factors(ell, ell0)
+    return float(np.sum(c**2 * lam * ratio))
+
+
+def hgrad_p(ell, ell0):
+    """``sum_k c_k^2 lam_k^2 (sinh(2 lam_k ell0) / (2 lam_k) - ell0) / cosh^2(lam_k ell)``."""
+    lam, c, ratio, sech2 = _core_factors(ell, ell0)
+    return float(np.sum(c**2 * lam * ratio / 2 - c**2 * lam**2 * ell0 * sech2))
+
+
+@pytest.fixture(scope="module")
+def richardson():
+    records = []
+    for h in (1 / 16, 1 / 32):
+        cfg = SweepConfig(
+            cross_section=CrossSection("box", 1),
+            vertical_halfwidths=(1.0,),
+            ells=ELLS,
+            target_h=h,
+            density=make_density("quadratic", r=1, n=2),
+            load=Load.constant(2.0),
+            options=SolveOptions(grad_tol=1e-10),
+            ell0=ELL0,
+            warm_start=False,
+        )
+        records.append(run_sweep(cfg).records)
+    assert all(r.converged for rs in records for r in rs)
+    return {
+        col: [(4 * getattr(b, col) - getattr(a, col)) / 3 for a, b in zip(*records)]
+        for col in ("total_grad_energy", "err_grad_p", "hgrad_p")
+    }
+
+
+def test_series_match_the_asymptotic_offset():
+    # the energy is a*ell - b up to the tanh factors: b = 32 (2/pi)^5
+    # sum (2k+1)^-5 ~ 3.361 as ell grows, 3.349 at ell = 2
+    b = 32 * (2 / math.pi) ** 5 * sum((2 * k + 1) ** -5 for k in range(TERMS))
+    assert 16 / 3 * 12 - total_grad_energy(12.0) == pytest.approx(b, rel=1e-12)
+    assert 16 / 3 * 2 - total_grad_energy(2.0) == pytest.approx(3.3489, abs=1e-4)
+    assert b == pytest.approx(3.3613, abs=1e-4)
+
+
+def test_energy_matches_the_series(richardson):
+    # measured residuals: 7e-8 at ell = 1, falling to 6e-9 at ell = 12
+    for ell, value in zip(ELLS, richardson["total_grad_energy"]):
+        exact = total_grad_energy(ell)
+        assert abs(value - exact) <= 1e-6 * exact, (ell, value, exact)
+
+
+@pytest.mark.parametrize("column,series", [("err_grad_p", err_grad_p), ("hgrad_p", hgrad_p)])
+def test_core_norms_match_the_series(richardson, column, series):
+    # measured residuals: about 3e-6 (ell - ell0)^2 relative, the O(h^4)
+    # shift of the discrete decay rate over the distance to the core (2e-6
+    # at ell = 2, 3.7e-4 at ell = 12).  At ell = ell0 the discrete error
+    # jumps to the extension re-zeroed on the lateral walls, which the
+    # continuum error does not, so the comparison starts at ell = 2.
+    for ell, value in zip(ELLS[1:], richardson[column][1:]):
+        exact = series(ell, ELL0)
+        assert abs(value - exact) <= 3e-5 * (ell - ELL0) ** 2 * exact, (ell, value, exact)

@@ -554,11 +554,12 @@ def test_mirror_axes():
     assert rep.mirror_axes == [0]
 
 
-@pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 20, 1 / 24])
+@pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 20, 1 / 24, 1 / 49, 1 / 98])
 def test_even_sampled_load_halves_the_vertical_axis(h):
-    # the vertical cell centroids are sampled mirror-exactly, so a load even
-    # in the vertical coordinate gives cell values equal to their flip at
-    # non-dyadic spacings too
+    # the vertical cell centroids are sampled mirror-exactly about 0, so a
+    # load even in the vertical coordinate gives cell values equal to their
+    # flip at non-dyadic spacings too; at h = 1/49 and 1/98 (98 and 196
+    # vertical cells) lo + N h / 2 is -1.1e-16, not 0
     grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), h)
     load = Load.sampled(lambda y: 2.0 - y * y)
     f_cells = load_cell_values(grid, load)

@@ -6,11 +6,17 @@ import pytest
 
 from elongate import (
     CrossSection,
+    DomainSpec,
     Load,
+    PDirichletDensity,
+    QuadraticDensity,
     SolveOptions,
     SweepConfig,
     SweepRecord,
+    assemble_energy,
+    build_grid,
     cell_gradients,
+    cell_means,
     convergence_verdicts,
     decay_profile,
     extend_vertical,
@@ -165,6 +171,80 @@ def test_sweep_config_validation():
             _sweep_config(vertical_halfwidths=(bad,))
         with pytest.raises(ValueError):
             _sweep_config(target_h=bad)
+
+
+class _FlipBlind(QuadraticDensity):
+    """The quadratic density without the declared flip invariance: no axis is halved."""
+
+    mirror_invariant = False
+
+
+class _FlipBlindP4(PDirichletDensity):
+    mirror_invariant = False
+
+
+class _FlipBlindLimit(PDirichletDensity):
+    """Halves every axis, but its limit density does not declare the flip
+    invariance, so the limit is solved in full and the core slab keeps its
+    vertical axis whole."""
+
+    def vertical_restriction(self):
+        return _FlipBlindP4(self.p, 0, self.n - self.r)
+
+
+#: ``ell0`` on the centroid of cell 30 of the ``ell = 2``, ``h = 0.1`` box,
+#: whose mirror-image centroid rounds to the other side of the level.
+_TIE = -2.0 + 0.1 * 30.5
+
+
+@pytest.mark.parametrize("cs,ell,h,ell0,density,load,axes", [
+    (CS1, 3.0, 1 / 8, 1.3, make_density("p-dirichlet", 4.0, r=1, n=2), Load.constant(2.0), [0, 1]),
+    (CS1, 2.0, 1 / 8, 1.0625, make_density("quadratic", r=1, n=2), Load.constant(2.0), [0, 1]),
+    (CS1, 2.0, 0.1, _TIE, make_density("quadratic", r=1, n=2), Load.constant(2.0), [0, 1]),
+    (CS1, 2.0, 1 / 8, 2.0, make_density("quadratic", r=1, n=2), Load.constant(2.0), [0, 1]),
+    (CS1, 2.0, 1 / 8, 1.3, make_density("quadratic", r=1, n=2), Load.sampled(lambda y: y), [0]),
+    (CS1, 2.0, 1 / 8, 2.0, _FlipBlind(r=1, n=2), Load.constant(2.0), []),
+    (CS1, 2.0, 1 / 8, 1.3, _FlipBlindLimit(4.0, r=1, n=2), Load.constant(2.0), [0, 1]),
+    (CrossSection("ball", 2), 2.0, 1 / 8, 1.0, make_density("quadratic", r=2, n=3), Load.constant(2.0), [0, 1, 2]),
+    (CrossSection("ball", 2), 2.0, 1 / 8, 2.0, make_density("quadratic", r=2, n=3), Load.constant(2.0), [0, 1, 2]),
+    (CrossSection("ball", 2), 1.5, 1 / 8, 1.1, make_density("quadratic", r=2, n=3), Load.sampled(lambda y: y), [0, 1]),
+    (CrossSection("ball", 2), 1.5, 1 / 8, 1.5, _FlipBlind(r=2, n=3), Load.constant(2.0), []),
+], ids=[
+    "box-p4-off-lattice", "box-centroid", "box-centroid-tie", "box-whole", "box-odd-load",
+    "box-unhalved", "box-limit-unhalved", "ball", "ball-whole", "ball-odd-load", "ball-unhalved",
+])
+def test_record_matches_the_full_grid_formula(cs, ell, h, ell0, density, load, axes):
+    # a record is measured on the halved grid and the core slab; it equals
+    # the full-grid formula of the public calls, and bit for bit with no axis halved
+    res = run_sweep(_sweep_config(
+        cross_section=cs, ells=(ell,), target_h=h, ell0=ell0, density=density, load=load
+    ))
+    u, grid, rec = res.final_field, res.final_grid, res.records[0]
+    assert res.final_report.mirror_axes == axes
+    p = density.p
+    ext = extend_vertical(res.limit, grid)
+    gu = cell_gradients(u)
+    core = region_cells(grid, "core", ell0)
+    err = lp_norm_p(grid, gu - cell_gradients(ext), p, core)
+    expected = {
+        "total_grad_energy": lp_norm_p(grid, gu, p),
+        "err_grad_p": err,
+        "err_w1p": err + lp_norm_p(grid, cell_means(u) - cell_means(ext), p, core),
+        "hgrad_p": lp_norm_p(grid, gu[..., : grid.r], p, core),
+        "J_ell": assemble_energy(u, density, load),
+    }
+    rtol = 1e-13 if axes else 0.0
+    for column, value in expected.items():
+        assert value != 0.0
+        assert abs(getattr(rec, column) - value) <= rtol * abs(value), column
+
+
+def test_centroid_tie_core_is_not_mirror_symmetric():
+    # the case above where the core is one cell wider on one side
+    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 0.1)
+    assert grid.axis_centers(0)[30] == _TIE
+    core = region_cells(grid, "core", _TIE)
+    assert core[:, 0].sum() % 2 == 1 and not np.array_equal(core, np.flip(core, 0))
 
 
 def test_decay_profile_partition_and_monotonicity():
