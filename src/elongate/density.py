@@ -55,7 +55,10 @@ class EnergyDensity(abc.ABC):
     Subclasses provide vectorized ``value``/``grad`` on arrays of shape
     ``(..., n)``; the base class supplies generic (subtraction-based)
     fallbacks for the split and for line increments, which built-ins
-    override with cancellation-free forms.
+    override with cancellation-free forms.  A line search asks for
+    :meth:`line_energy`, the increment summed over cells; the base class
+    sums :meth:`line_increment`, and built-ins whose increment is a
+    polynomial in the step sum its coefficients once per line.
     """
 
     kind: str = "custom"
@@ -117,6 +120,21 @@ class EnergyDensity(abc.ABC):
         base = self.value(xi)
         return lambda alpha: self.value(xi + alpha * delta) - base
 
+    def line_energy(self, xi, delta, weights=None) -> Callable[[float], float]:
+        """The map ``alpha -> sum_i w_i (F(xi_i + alpha delta_i) - F(xi_i))``, a float.
+
+        ``i`` runs over the leading indices, and ``weights`` holds one
+        ``w_i`` per leading index (``None``: all 1).  This sums
+        :meth:`line_increment` once per trial, so it is as
+        cancellation-free as the density's increment, and a cell of weight
+        0 adds exactly 0 wherever its increment is finite.  Built-ins
+        whose increment is a polynomial in the step override it.
+        """
+        line = self.line_increment(xi, delta)
+        if weights is None:
+            return lambda alpha: float(line(alpha).sum())
+        return lambda alpha: float(np.vdot(weights, line(alpha)))
+
     def value_increment(self, xi, delta) -> np.ndarray:
         """``F(xi + delta) - F(xi)``; as stable as :meth:`line_increment`."""
         return self.line_increment(xi, delta)(1.0)
@@ -151,18 +169,49 @@ def _pow_diff_log(S, u, q: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         frac = np.abs(u) / safe
         mag = safe**q * (-np.expm1(q * np.log1p(-np.minimum(frac, 1.0))))
-    return np.where(M > 0, np.sign(u) * mag, 0.0)
+    return np.where(M == 0, 0.0, np.sign(u) * mag)  # a NaN stays NaN
 
 
 def _sq(xi) -> np.ndarray:
     return _dot(xi, xi)
 
 
+def _power_line_energy(blocks, q: float, p: float, weights) -> Callable[[float], float]:
+    """:meth:`EnergyDensity.line_energy` of ``sum_blocks |xi_block|^(2q) / p``, ``q`` in (1, 2).
+
+    ``blocks`` lists ``(xi_block, delta_block)`` pairs.  Per cell ``|xi + a
+    delta|^2 = S + 2ab + a^2 c`` (``S = |xi|^2``, ``b = xi . delta``, ``c =
+    |delta|^2``), so the increment is ``2ab + a^2 c`` at ``q = 1`` and ``4Sb a
+    + (2Sc + 4b^2) a^2 + 4bc a^3 + c^2 a^4`` at ``q = 2``.  Each coefficient is
+    summed over the cells once per line, and a trial evaluates the
+    polynomial.  Nothing of the size of ``F`` is subtracted, so a trial is
+    accurate to round-off in its own terms; at a tiny step the linear term,
+    the directional derivative, remains.
+    """
+    coeffs = [0.0] * int(2 * q)
+    for x, d in blocks:
+        b, c = _dot(x, d), _sq(d)
+        if q == 1:
+            sums = (b.sum(), c.sum()) if weights is None else (np.vdot(weights, b), np.vdot(weights, c))
+            terms = (2.0 * sums[0], sums[1])
+        else:
+            S = _sq(x)
+            wS, wb, wc = (S, b, c) if weights is None else (weights * S, weights * b, weights * c)
+            Sb, Sc, bb, bc, cc = (np.vdot(u, v) for u, v in ((wS, b), (wS, c), (wb, b), (wb, c), (wc, c)))
+            terms = (4.0 * Sb, 2.0 * Sc + 4.0 * bb, 4.0 * bc, cc)
+        coeffs = [k + t for k, t in zip(coeffs, terms)]
+    k1, k2, *rest = (float(k) / p for k in coeffs)
+    if not rest:
+        return lambda alpha: alpha * (k1 + alpha * k2)
+    k3, k4 = rest
+    return lambda alpha: alpha * (k1 + alpha * (k2 + alpha * (k3 + alpha * k4)))
+
+
 def _scaled(w: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``w[..., None] * xi``, one component at a time (several times faster
-    than broadcasting over a short last axis)."""
+    than broadcasting over a short last axis), in the memory layout of ``xi``."""
     if out is None:
-        out = np.empty(xi.shape)
+        out = np.empty_like(xi)
     for a in range(xi.shape[-1]):
         np.multiply(w, xi[..., a], out=out[..., a])
     return out
@@ -198,7 +247,8 @@ class PDirichletDensity(EnergyDensity):
 
     def grad(self, xi):
         xi = np.asarray(xi, dtype=float)
-        return _scaled(_sq(xi) ** ((self.p - 2) / 2), xi)
+        S = _sq(xi)
+        return _scaled(S if self.p == 4 else S ** ((self.p - 2) / 2), xi)
 
     def coupling(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -211,6 +261,11 @@ class PDirichletDensity(EnergyDensity):
         S, b2, c = _sq(xi), 2.0 * _dot(xi, delta), _sq(delta)
         q, p = self.p / 2, self.p
         return lambda alpha: _pow_diff(S, alpha * (b2 + alpha * c), q) / p
+
+    def line_energy(self, xi, delta, weights=None):
+        if self.p not in (2.0, 4.0):
+            return super().line_energy(xi, delta, weights)
+        return _power_line_energy([(xi, delta)], self.p / 2, self.p, weights)
 
     def vertical_restriction(self):
         return PDirichletDensity(self.p, 0, self.n - self.r)
@@ -252,7 +307,7 @@ class SeparablePowerDensity(EnergyDensity):
         xi = np.asarray(xi, dtype=float)
         Sh, Sv = self._blocks(xi)
         e = (self.p - 2) / 2
-        out = np.empty(xi.shape)
+        out = np.empty_like(xi)
         _scaled(Sh**e, xi[..., : self.r], out[..., : self.r])
         _scaled(Sv**e, xi[..., self.r:], out[..., self.r:])
         return out
@@ -277,6 +332,13 @@ class SeparablePowerDensity(EnergyDensity):
             return out / p
 
         return increment
+
+    def line_energy(self, xi, delta, weights=None):
+        if self.p not in (2.0, 4.0):
+            return super().line_energy(xi, delta, weights)
+        r = self.r
+        blocks = [(xi[..., :r], delta[..., :r]), (xi[..., r:], delta[..., r:])]
+        return _power_line_energy(blocks, self.p / 2, self.p, weights)
 
     def vertical_restriction(self):
         return PDirichletDensity(self.p, 0, self.n - self.r)
@@ -314,6 +376,9 @@ class QuadraticDensity(EnergyDensity):
         delta = np.asarray(delta, dtype=float)
         b, c = _dot(xi, delta), 0.5 * _sq(delta)
         return lambda alpha: alpha * (b + alpha * c)
+
+    def line_energy(self, xi, delta, weights=None):
+        return _power_line_energy([(xi, delta)], 1, 2.0, weights)
 
     def vertical_restriction(self):
         return QuadraticDensity(0, self.n - self.r)

@@ -5,10 +5,15 @@ conjugate gradients with restarts and an Armijo line search.  Its first
 step is the safeguarded minimizer of the quadratic through the slope at
 0 and one probe at twice the last accepted step, which makes the search
 nearly exact, as Polak-Ribiere needs, and exact for a quadratic density.
-Line-search energy differences are evaluated through cancellation-free
-per-cell increments, so descent remains verifiable far below the
-round-off floor of naive energy subtraction, which is what the tight
-default tolerances need.
+Line-search energy differences come from the density's summed line
+energy (:meth:`~elongate.density.EnergyDensity.line_energy`), set up
+once per line.  Where the increment is a polynomial in the step (the
+built-ins at ``p = 2`` and ``4``) its coefficients are summed over the
+cells once and a trial is scalar arithmetic; other densities, ``p = 3``
+and custom ones, sum their cancellation-free per-cell increments.  No
+energy of the size of ``F`` is subtracted either way, so descent remains
+verifiable far below the round-off floor of naive energy subtraction,
+which is what the tight default tolerances need.
 
 The preconditioner is the exact inverse of the quadratic Hessian on the
 grid's free nodes (:mod:`elongate.precond`), set up once per solve.
@@ -77,8 +82,8 @@ class SolveOptions:
 
     ``grad_tol`` is dimensionless; the absolute stopping threshold is
     ``grad_tol * sup|load| * cell volume``.  ``None`` picks the default
-    for the density (:func:`default_grad_tol`).  ``max_iters`` bounds
-    the iterations of one solve.
+    for the density (:func:`default_grad_tol`).  ``max_iters``, a
+    positive integer (not a bool), bounds the iterations of one solve.
     """
 
     grad_tol: float | None = None
@@ -87,6 +92,8 @@ class SolveOptions:
     def __post_init__(self) -> None:
         if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:
             raise ValueError("grad_tol must be positive and finite")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -118,7 +125,7 @@ def default_grad_tol(density: EnergyDensity) -> float:
 
 def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_norm):
     vol = grid.cell_volume
-    mask = None if grid.outside_cells is None else grid.cell_mask
+    weights = None if grid.outside_cells is None else grid.cell_mask.astype(float)
     trials = 0
 
     Gx = _cell_gradients_arr(grid, x)
@@ -127,27 +134,24 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
     if gmax <= tol or not math.isfinite(gmax):
         return x, 0, gmax, gmax <= tol, trials
     z = precond(g)
-    gz = float((g * z).sum())
+    gz = float(np.vdot(g, z))
     d = -z
     m = -gz
     step = _INITIAL_STEP
     converged = False
     k = 0
     for k in range(1, max_iters + 1):
-        # Energy change along d, assembled from per-cell cancellation-free
-        # density increments; accurate at any step size.  The load term is
-        # linear in the step.
+        # Energy change along d: the density's increment summed over the
+        # in-domain cells, free of cancellation at any step size, and the
+        # load term, linear in the step.
         Gd = _cell_gradients_arr(grid, d)
-        line = density.line_increment(Gx, Gd)
-        lin_d = float((load_vec * d).sum())
+        line = density.line_energy(Gx, Gd, weights)
+        lin_d = float(np.vdot(load_vec, d))
 
         def phi(alpha):
             nonlocal trials
             trials += 1
-            inc = line(alpha)
-            if mask is not None:
-                inc = np.where(mask, inc, 0.0)
-            return vol * float(inc.sum()) - alpha * lin_d
+            return vol * line(alpha) - alpha * lin_d
 
         # Probe at twice the last step, then try the minimizer of the
         # quadratic through phi(0) = 0, phi'(0) = m and the probe.  A NaN or
@@ -190,15 +194,15 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         if gmax <= tol:
             converged = True
             break
-        if alpha * float(np.max(np.abs(d))) <= _EPS * float(np.max(np.abs(x))):
+        if alpha * float(np.abs(d).max()) <= _EPS * float(np.abs(x).max()):
             break  # stagnated at the round-off floor: the step no longer moves x
         z_new = precond(g_new)
-        gz_new = float((g_new * z_new).sum())
-        beta = max(0.0, (gz_new - float((g_new * z).sum())) / gz)
+        gz_new = float(np.vdot(g_new, z_new))
+        beta = max(0.0, (gz_new - float(np.vdot(g_new, z))) / gz)
         d *= beta  # d = -z_new + beta * d, in place
         d -= z_new
         g, z, gz = g_new, z_new, gz_new
-        m = float((g * d).sum())
+        m = float(np.vdot(g, d))
         if m >= 0.0:  # restart: keep the direction a descent direction
             np.negative(z, out=d)
             m = -gz
@@ -272,7 +276,7 @@ def _max_norm(axes: tuple[int, ...]) -> Callable[[np.ndarray], float]:
         mag = np.abs(g)
         for mid in mids:
             mag[mid] *= 2.0
-        return float(np.max(mag))
+        return float(mag.max())
 
     return norm
 

@@ -236,6 +236,59 @@ def test_line_increment_matches_value_increment(d):
         assert np.all(np.abs(line(a) - inc) <= 1e-13 * (np.abs(inc) + a * slope + a * a * np.abs(d.value(delta))))
 
 
+#: Every built-in at p = 2, 3, 4 (polynomial line energies at p = 2 and 4,
+#: the summed per-cell fallback at p = 3) and the base-class fallback.
+LINE = [make_density(k, p, r=1, n=2) for k in ("p-dirichlet", "separable-p") for p in (2.0, 3.0, 4.0)]
+LINE += [Q, _ConcaveProbe()]
+
+
+def _line_case(d, seed=41):
+    """Cells of every scale along a unit-size direction, and a 0/1 cell mask."""
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((200, d.n))
+    delta = rng.standard_normal((200, d.n)) * 10.0 ** rng.uniform(-8, 0, (200, 1))
+    return xi, delta, (rng.uniform(size=200) < 0.7).astype(float)
+
+
+@pytest.mark.parametrize("d", LINE, ids=lambda d: f"{d.kind}-{d.p:g}")
+def test_line_energy_sums_line_increment(d):
+    # the tolerance of test_line_increment_matches_value_increment, summed over cells
+    xi, delta, w = _line_case(d)
+    line, masked, whole = d.line_increment(xi, delta), d.line_energy(xi, delta, w), d.line_energy(xi, delta)
+    slope = np.abs(np.sum(d.grad(xi) * delta, axis=-1))
+    for a in (1e-13, 1e-6, 0.3, 1.0, 4.0):
+        inc = line(a)
+        tol = 1e-13 * (np.abs(inc) + a * slope + a * a * np.abs(d.value(delta)))
+        assert isinstance(masked(a), float)
+        assert abs(masked(a) - np.vdot(w, inc)) <= np.vdot(w, tol)
+        assert abs(whole(a) - inc.sum()) <= tol.sum()
+
+
+@pytest.mark.parametrize("d", [Q, P4, SEP4], ids=lambda d: d.kind)
+def test_line_energy_resolves_tiny_steps(d):
+    # naive subtraction of the summed energies misses by 30-60% here
+    xi = np.array([[1.0, 2.0], [-3.0, 0.5]])
+    delta = np.array([[1.0, -1.0], [0.5, 2.0]])
+    slopes = np.sum(d.grad(xi) * delta, axis=-1)
+    assert d.line_energy(xi, delta)(1e-15) == pytest.approx(1e-15 * slopes.sum(), rel=1e-6)
+    assert d.line_energy(xi, delta, np.array([1.0, 0.0]))(1e-15) == pytest.approx(1e-15 * slopes[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("d", LINE, ids=lambda d: f"{d.kind}-{d.p:g}")
+def test_line_energy_nan_and_masked_cells(d):
+    xi, delta, w = _line_case(d)
+    out = w == 0.0
+    poisoned = xi.copy()
+    poisoned[np.flatnonzero(~out)[3], 0] = np.nan
+    assert np.isnan(d.line_energy(poisoned, delta, w)(0.5))
+    # whatever a masked cell holds (finite), it adds exactly 0
+    junk_xi, junk_delta, zero_xi, zero_delta = xi.copy(), delta.copy(), xi.copy(), delta.copy()
+    junk_xi[out], junk_delta[out] = 1e3, -7.0
+    zero_xi[out], zero_delta[out] = 0.0, 0.0
+    for a in (1e-13, 0.3, 4.0):
+        assert d.line_energy(junk_xi, junk_delta, w)(a) == d.line_energy(zero_xi, zero_delta, w)(a)
+
+
 def test_audits_deterministic():
     r1 = audit_growth(P4, 5000, seed=42)
     r2 = audit_growth(P4, 5000, seed=42)

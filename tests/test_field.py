@@ -20,7 +20,7 @@ from elongate import (
     region_cells,
     save_field,
 )
-from elongate.field import _pair, _pair_adjoint
+from elongate.field import _cell_gradients_arr, _pair, _pair_adjoint
 
 CS1 = CrossSection("box", 1)
 
@@ -35,6 +35,21 @@ def test_cell_gradient_affine_exactness():
     g = cell_gradients(v)
     assert np.allclose(g[..., 0], 1.0, atol=1e-13)
     assert np.allclose(g[..., 1], 0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("cs,ell", [(CS1, 2.0), (CrossSection("ball", 2), 1.5)], ids=["box-2d", "ball-3d"])
+def test_cell_gradient_components_are_contiguous(cs, ell):
+    # the densities' per-component passes rely on this layout, and every
+    # built-in grad keeps it
+    grid = build_grid(DomainSpec(cs, ell, (1.0,)), 0.25)
+    x = np.random.default_rng(3).standard_normal(grid.shape)
+    G = _cell_gradients_arr(grid, x)
+    assert G.shape == grid.cell_shape + (grid.n,)
+    densities = [make_density("quadratic", r=grid.r, n=grid.n)] + [
+        make_density(k, p, grid.r, grid.n) for k in ("p-dirichlet", "separable-p") for p in (2.0, 3.0, 4.0)
+    ]
+    for arr in [G] + [d.grad(G) for d in densities]:
+        assert all(arr[..., a].flags.c_contiguous for a in range(grid.n))
 
 
 def test_cell_gradient_constant_field():

@@ -43,6 +43,10 @@ def test_options_validation():
         SolveOptions(grad_tol=float("inf"))
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
+    for bad in (2.5, float("nan"), 3.0, True, False, "10"):
+        with pytest.raises(ValueError, match="integer"):
+            SolveOptions(max_iters=bad)
+    assert SolveOptions(max_iters=np.int64(5)).max_iters == 5
     assert [f.name for f in dataclasses.fields(SolveOptions)] == ["grad_tol", "max_iters"]
 
 
