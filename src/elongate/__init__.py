@@ -5,7 +5,6 @@ from .density import (
     EnergyDensity,
     HypothesisReport,
     PDirichletDensity,
-    QuadraticDensity,
     SeparablePowerDensity,
     audit_convexity_midpoint,
     audit_growth,

@@ -103,10 +103,9 @@ def resolve_config(raw: dict) -> dict:
         raise ConfigError(f"study.fit_models must list names from {_FIT_MODELS}, got {models!r}")
     if not isinstance(rc["solver"]["warm_start"], bool):
         raise ConfigError(f"solver.warm_start must be true or false, got {rc['solver']['warm_start']!r}")
-    floor = rc["study"]["floor"]
     try:
-        if floor is not None and not math.isfinite(float(floor)):
-            raise ConfigError(f"study.floor must be finite, got {floor}")
+        if rc["study"]["floor"] is not None and not math.isfinite(_config_float(rc, "study", "floor")):
+            raise ConfigError(f"study.floor must be finite, got {rc['study']['floor']}")
         _build_objects(rc)
     except ConfigError:
         raise
@@ -126,6 +125,13 @@ def _config_int(rc: dict, section: str, key: str) -> int:
     return int(value)
 
 
+def _config_float(rc: dict, section: str, key: str) -> float:
+    value = rc[section][key]
+    if not _is_number(value):
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _config_list(rc: dict, section: str, key: str) -> list[float]:
     """The key's JSON array of numbers as floats, stored back into ``rc``."""
     values = rc[section][key]
@@ -139,22 +145,23 @@ def _build_objects(rc: dict):
     dom, grid_cfg = rc["domain"], rc["grid"]
     cs = CrossSection(dom["cross_section"], _config_int(rc, "domain", "r"))
     n = cs.r + len(dom["vertical_halfwidths"])
-    density = make_density(rc["density"]["kind"], rc["density"].get("p"), cs.r, n)
-    load = Load.constant(float(rc["load"]["value"]))
+    p = None if rc["density"]["p"] is None else _config_float(rc, "density", "p")
+    density = make_density(rc["density"]["kind"], p, cs.r, n)
+    load = Load.constant(_config_float(rc, "load", "value"))
     sol = rc["solver"]
     opts = SolveOptions(
-        grad_tol=None if sol["grad_tol"] is None else float(sol["grad_tol"]),
+        grad_tol=None if sol["grad_tol"] is None else _config_float(rc, "solver", "grad_tol"),
         max_iters=_config_int(rc, "solver", "max_iters"),
     )
     sweep = SweepConfig(
         cross_section=cs,
         vertical_halfwidths=tuple(dom["vertical_halfwidths"]),
         ells=tuple(dom["ell_list"]),
-        target_h=float(grid_cfg["target_h"]),
+        target_h=_config_float(rc, "grid", "target_h"),
         density=density,
         load=load,
         options=opts,
-        ell0=float(rc["study"]["ell0"]),
+        ell0=_config_float(rc, "study", "ell0"),
         warm_start=sol["warm_start"],
         max_nodes=None if grid_cfg["max_nodes"] is None else _config_int(rc, "grid", "max_nodes"),
     )

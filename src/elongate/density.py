@@ -2,7 +2,11 @@
 
 A density ``F`` on gradient vectors splits as ``F = F_vert + G``, where
 ``F_vert`` is the value at a vanishing horizontal block and ``G`` the
-remainder ("coupling").  Built-ins carry certified growth constants
+remainder ("coupling").  The built-ins are power densities, sums of
+``|xi_B|^p / p`` over blocks ``B`` of the gradient components:
+``p-dirichlet`` has one block (at ``p = 2`` the quadratic form, which
+``make_density("quadratic")`` builds), ``separable-p`` the horizontal and
+the vertical block.  Built-ins carry certified growth constants
 ``lam <= Lam`` (two-sided power bounds on both ``F`` and ``G``), a
 coupling exponent ``k``, and a uniform-strict-convexity constant
 ``beta`` (0 when unclaimed).  The audits sample the claimed inequalities
@@ -15,6 +19,8 @@ All evaluation methods are vectorized over leading axes and pure.
 from __future__ import annotations
 
 import abc
+import functools
+import operator
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -150,10 +156,12 @@ class EnergyDensity(abc.ABC):
 def _pow_diff(S, u, q: float) -> np.ndarray:
     """``(S + u)**q - S**q`` without cancellation, for ``S >= 0``, ``S + u >= 0``.
 
-    At ``q = 2`` this is ``u (2S + u)``, exact up to two roundings:
-    ``2S + u = S + (S + u)`` adds two nonnegative terms.  Other exponents
-    take :func:`_pow_diff_log`.
+    At ``q = 1`` this is ``u``; at ``q = 2`` it is ``u (2S + u)``, exact up
+    to two roundings: ``2S + u = S + (S + u)`` adds two nonnegative terms.
+    Other exponents take :func:`_pow_diff_log`.
     """
+    if q == 1:
+        return u
     if q == 2:
         S = np.asarray(S, dtype=float)
         return u * (2.0 * S + u)
@@ -207,26 +215,77 @@ def _power_line_energy(blocks, q: float, p: float, weights) -> Callable[[float],
     return lambda alpha: alpha * (k1 + alpha * (k2 + alpha * (k3 + alpha * k4)))
 
 
-def _scaled(w: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``w[..., None] * xi``, one component at a time (several times faster
-    than broadcasting over a short last axis), in the memory layout of ``xi``."""
-    if out is None:
-        out = np.empty_like(xi)
+def _scaled(w: np.ndarray, xi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``w[..., None] * xi`` into ``out``, one component at a time (several
+    times faster than broadcasting over a short last axis)."""
     for a in range(xi.shape[-1]):
         np.multiply(w, xi[..., a], out=out[..., a])
     return out
 
 
-class PDirichletDensity(EnergyDensity):
-    """Power of the full Euclidean norm: ``|xi|^p / p``.
+def _block_sum(terms) -> np.ndarray:
+    """The sum of the per-block terms; a single block is returned as it is."""
+    return functools.reduce(operator.add, terms)
+
+
+class _PowerDensity(EnergyDensity):
+    """Sum of ``|xi_B|^p / p`` over blocks ``B`` of the gradient components.
+
+    :meth:`_blocks` splits the last axis of an array into the blocks; this
+    base class has one block of every component and takes no views.  Every
+    method works block by block, so the one-block case makes the numpy
+    calls of a plain ``|xi|^p / p``.  No method calls another public
+    method of the density.
+    """
+
+    mirror_invariant = True
+
+    def _blocks(self, a) -> tuple:
+        return (a,)
+
+    def value(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        q = self.p / 2
+        return _block_sum(_sq(x) ** q for x in self._blocks(xi)) / self.p
+
+    def grad(self, xi):
+        if self.p == 2:
+            return np.array(xi, dtype=float)  # keeps the memory layout of ``xi``
+        xi = np.asarray(xi, dtype=float)
+        out = np.empty_like(xi)
+        for x, o in zip(self._blocks(xi), self._blocks(out)):
+            S = _sq(x)
+            _scaled(S if self.p == 4 else S ** ((self.p - 2) / 2), x, o)
+        return out
+
+    def line_increment(self, xi, delta):
+        xi = np.asarray(xi, dtype=float)
+        delta = np.asarray(delta, dtype=float)
+        # per block |x + a d|^2 = S + a (2b + a c)
+        blocks = [(_sq(x), 2.0 * _dot(x, d), _sq(d)) for x, d in zip(self._blocks(xi), self._blocks(delta))]
+        q, p = self.p / 2, self.p
+        return lambda alpha: _block_sum(_pow_diff(S, alpha * (b2 + alpha * c), q) for S, b2, c in blocks) / p
+
+    def line_energy(self, xi, delta, weights=None):
+        if self.p not in (2.0, 4.0):
+            return super().line_energy(xi, delta, weights)
+        blocks = list(zip(self._blocks(xi), self._blocks(delta)))
+        return _power_line_energy(blocks, self.p / 2, self.p, weights)
+
+    def vertical_restriction(self):
+        return PDirichletDensity(self.p, 0, self.n - self.r)
+
+
+class PDirichletDensity(_PowerDensity):
+    """Power of the full Euclidean norm: ``|xi|^p / p``; the quadratic form at ``p = 2``.
 
     Growth constants ``lam = Lam = 1/p`` hold exactly for the norm bound
     at every ``p``; the coupling bounds share the same constants and are
     certified tight for ``p = 2`` and ``p = 4`` (the audited exponents).
+    At ``p = 2`` the coupling exponent is ``k = 0`` and ``beta = 1/2``.
     """
 
     kind = "p-dirichlet"
-    mirror_invariant = True
 
     def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
         k = 0.0 if p == 2 else 2.0
@@ -241,37 +300,12 @@ class PDirichletDensity(EnergyDensity):
             n,
         )
 
-    def value(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return _sq(xi) ** (self.p / 2) / self.p
-
-    def grad(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        S = _sq(xi)
-        return _scaled(S if self.p == 4 else S ** ((self.p - 2) / 2), xi)
-
     def coupling(self, xi):
         xi = np.asarray(xi, dtype=float)
         return _pow_diff(_sq(xi[..., self.r:]), _sq(xi[..., : self.r]), self.p / 2) / self.p
 
-    def line_increment(self, xi, delta):
-        xi = np.asarray(xi, dtype=float)
-        delta = np.asarray(delta, dtype=float)
-        # |xi + a delta|^2 = S + a (2b + a c)
-        S, b2, c = _sq(xi), 2.0 * _dot(xi, delta), _sq(delta)
-        q, p = self.p / 2, self.p
-        return lambda alpha: _pow_diff(S, alpha * (b2 + alpha * c), q) / p
 
-    def line_energy(self, xi, delta, weights=None):
-        if self.p not in (2.0, 4.0):
-            return super().line_energy(xi, delta, weights)
-        return _power_line_energy([(xi, delta)], self.p / 2, self.p, weights)
-
-    def vertical_restriction(self):
-        return PDirichletDensity(self.p, 0, self.n - self.r)
-
-
-class SeparablePowerDensity(EnergyDensity):
+class SeparablePowerDensity(_PowerDensity):
     """Decoupled powers of the two blocks: ``(|xi_h|^p + |xi_v|^p) / p``.
 
     The coupling is ``|xi_h|^p / p`` exactly (exponent ``k = 0``); the
@@ -280,7 +314,6 @@ class SeparablePowerDensity(EnergyDensity):
     """
 
     kind = "separable-p"
-    mirror_invariant = True
 
     def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
         b = 0.5 if p == 2 else 0.0
@@ -294,94 +327,12 @@ class SeparablePowerDensity(EnergyDensity):
             n,
         )
 
-    def _blocks(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return _sq(xi[..., : self.r]), _sq(xi[..., self.r:])
-
-    def value(self, xi):
-        Sh, Sv = self._blocks(xi)
-        q = self.p / 2
-        return (Sh**q + Sv**q) / self.p
-
-    def grad(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        Sh, Sv = self._blocks(xi)
-        e = (self.p - 2) / 2
-        out = np.empty_like(xi)
-        _scaled(Sh**e, xi[..., : self.r], out[..., : self.r])
-        _scaled(Sv**e, xi[..., self.r:], out[..., self.r:])
-        return out
+    def _blocks(self, a):
+        return a[..., : self.r], a[..., self.r:]
 
     def coupling(self, xi):
         xi = np.asarray(xi, dtype=float)
         return _sq(xi[..., : self.r]) ** (self.p / 2) / self.p
-
-    def line_increment(self, xi, delta):
-        xi = np.asarray(xi, dtype=float)
-        delta = np.asarray(delta, dtype=float)
-        q, p, r = self.p / 2, self.p, self.r
-        blocks = [
-            (_sq(x), 2.0 * _dot(x, d), _sq(d))
-            for x, d in ((xi[..., :r], delta[..., :r]), (xi[..., r:], delta[..., r:]))
-        ]
-
-        def increment(alpha):
-            out = 0.0
-            for S, b2, c in blocks:
-                out = out + _pow_diff(S, alpha * (b2 + alpha * c), q)
-            return out / p
-
-        return increment
-
-    def line_energy(self, xi, delta, weights=None):
-        if self.p not in (2.0, 4.0):
-            return super().line_energy(xi, delta, weights)
-        r = self.r
-        blocks = [(xi[..., :r], delta[..., :r]), (xi[..., r:], delta[..., r:])]
-        return _power_line_energy(blocks, self.p / 2, self.p, weights)
-
-    def vertical_restriction(self):
-        return PDirichletDensity(self.p, 0, self.n - self.r)
-
-
-class QuadraticDensity(EnergyDensity):
-    """The quadratic form ``|xi|^2 / 2`` with certified ``beta = 1/2``."""
-
-    kind = "quadratic"
-    mirror_invariant = True
-
-    def __init__(self, r: int, n: int, lam=None, Lam=None, beta=None):
-        super().__init__(
-            2.0,
-            0.0,
-            0.5 if lam is None else lam,
-            0.5 if Lam is None else Lam,
-            0.5 if beta is None else beta,
-            r,
-            n,
-        )
-
-    def value(self, xi):
-        return 0.5 * _sq(np.asarray(xi, dtype=float))
-
-    def grad(self, xi):
-        return np.array(xi, dtype=float)
-
-    def coupling(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        return 0.5 * _sq(xi[..., : self.r])
-
-    def line_increment(self, xi, delta):
-        xi = np.asarray(xi, dtype=float)
-        delta = np.asarray(delta, dtype=float)
-        b, c = _dot(xi, delta), 0.5 * _sq(delta)
-        return lambda alpha: alpha * (b + alpha * c)
-
-    def line_energy(self, xi, delta, weights=None):
-        return _power_line_energy([(xi, delta)], 1, 2.0, weights)
-
-    def vertical_restriction(self):
-        return QuadraticDensity(0, self.n - self.r)
 
 
 def make_density(
@@ -406,7 +357,7 @@ def make_density(
     if key == "quadratic":
         if p is not None and p != 2:
             raise ValueError("quadratic density has p = 2")
-        return QuadraticDensity(r, n, lam, Lam, beta)
+        return PDirichletDensity(2.0, r, n, lam, Lam, beta)
     raise ValueError(f"unknown density kind {kind!r}; expected one of {_KINDS}")
 
 

@@ -44,6 +44,7 @@ the iterate and a non-finite gradient all end the solve with
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -82,16 +83,20 @@ class SolveOptions:
 
     ``grad_tol`` is dimensionless; the absolute stopping threshold is
     ``grad_tol * sup|load| * cell volume``.  ``None`` picks the default
-    for the density (:func:`default_grad_tol`).  ``max_iters``, a
-    positive integer (not a bool), bounds the iterations of one solve.
+    for the density (:func:`default_grad_tol`); a given tolerance is a
+    number, not a bool or a string.  ``max_iters``, a positive integer
+    (not a bool), bounds the iterations of one solve.
     """
 
     grad_tol: float | None = None
     max_iters: int = 100_000
 
     def __post_init__(self) -> None:
-        if self.grad_tol is not None and not 0 < self.grad_tol < math.inf:
-            raise ValueError("grad_tol must be positive and finite")
+        if self.grad_tol is not None:
+            if isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, numbers.Real):
+                raise ValueError(f"grad_tol must be a number, got {self.grad_tol!r}")
+            if not 0 < self.grad_tol < math.inf:
+                raise ValueError("grad_tol must be positive and finite")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:

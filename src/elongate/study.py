@@ -40,13 +40,11 @@ SWEEP_CSV_HEADER = (
 
 
 def thread_budget() -> int:
-    """Parallelism degree: ELONGATE_THREADS, defaulting to the machine's.
+    """Parallelism degree: ELONGATE_THREADS, defaulting to 1.
 
     A value that is not an integer raises :class:`ValueError`.
     """
-    raw = os.environ.get("ELONGATE_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
+    raw = os.environ.get("ELONGATE_THREADS", "").strip() or "1"
     try:
         return max(1, int(raw))
     except ValueError:

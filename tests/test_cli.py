@@ -128,6 +128,16 @@ def test_non_integral_config_number_is_config_error(tmp_path, capsys, section, k
     ("domain", "vertical_halfwidths", "1"),
     ("grid", "max_nodes", 1000.5),  # passed as "budget 1000.5"
     ("grid", "max_nodes", "1000"),
+    ("solver", "grad_tol", True),  # ran at the tolerance 1.0
+    ("solver", "grad_tol", "1e-9"),
+    ("load", "value", "2.0"),
+    ("load", "value", True),
+    ("grid", "target_h", True),  # resolved to h = 1
+    ("grid", "target_h", "0.125"),
+    ("study", "ell0", "1.0"),
+    ("study", "floor", "1e-8"),
+    ("study", "floor", True),
+    ("density", "p", "2"),
 ])
 def test_wrong_config_type_is_config_error(tmp_path, capsys, section, key, value):
     cfg = _write_config(tmp_path / "c.json", **{section: {key: value}})

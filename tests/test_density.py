@@ -3,6 +3,8 @@ import pytest
 
 from elongate import (
     EnergyDensity,
+    PDirichletDensity,
+    SeparablePowerDensity,
     audit_convexity_midpoint,
     audit_growth,
     audit_uniform_strict_convexity,
@@ -14,6 +16,9 @@ Q = make_density("quadratic", r=1, n=2)
 P4 = make_density("p-dirichlet", 4.0, r=1, n=2)
 SEP4 = make_density("separable-p", 4.0, r=1, n=2)
 ALL = [Q, P4, SEP4, make_density("p-dirichlet", 3.0, r=1, n=2)]
+#: Explicit test ids: ``make_density("quadratic")`` is a ``p-dirichlet``
+#: density, so ids taken from ``d.kind`` would collide.
+ALL_IDS = ["quadratic", "p-dirichlet0", "separable-p", "p-dirichlet1"]
 
 
 def _random_xi(rng, count, dim, lo=-3, hi=3):
@@ -223,7 +228,7 @@ def test_audit_midpoint_flags_concave_probe():
     assert rep.violations > 0
 
 
-@pytest.mark.parametrize("d", ALL + [_ConcaveProbe()], ids=lambda d: d.kind)
+@pytest.mark.parametrize("d", ALL + [_ConcaveProbe()], ids=ALL_IDS + ["concave-probe"])
 def test_line_increment_matches_value_increment(d):
     # built-ins override line_increment; the concave probe uses the base fallback
     rng = np.random.default_rng(37)
@@ -240,6 +245,8 @@ def test_line_increment_matches_value_increment(d):
 #: the summed per-cell fallback at p = 3) and the base-class fallback.
 LINE = [make_density(k, p, r=1, n=2) for k in ("p-dirichlet", "separable-p") for p in (2.0, 3.0, 4.0)]
 LINE += [Q, _ConcaveProbe()]
+LINE_IDS = [f"{k}-{p:g}" for k in ("p-dirichlet", "separable-p") for p in (2.0, 3.0, 4.0)]
+LINE_IDS += ["quadratic-2", "concave-probe-2"]
 
 
 def _line_case(d, seed=41):
@@ -250,7 +257,7 @@ def _line_case(d, seed=41):
     return xi, delta, (rng.uniform(size=200) < 0.7).astype(float)
 
 
-@pytest.mark.parametrize("d", LINE, ids=lambda d: f"{d.kind}-{d.p:g}")
+@pytest.mark.parametrize("d", LINE, ids=LINE_IDS)
 def test_line_energy_sums_line_increment(d):
     # the tolerance of test_line_increment_matches_value_increment, summed over cells
     xi, delta, w = _line_case(d)
@@ -264,7 +271,7 @@ def test_line_energy_sums_line_increment(d):
         assert abs(whole(a) - inc.sum()) <= tol.sum()
 
 
-@pytest.mark.parametrize("d", [Q, P4, SEP4], ids=lambda d: d.kind)
+@pytest.mark.parametrize("d", [Q, P4, SEP4], ids=["quadratic", "p-dirichlet", "separable-p"])
 def test_line_energy_resolves_tiny_steps(d):
     # naive subtraction of the summed energies misses by 30-60% here
     xi = np.array([[1.0, 2.0], [-3.0, 0.5]])
@@ -274,7 +281,7 @@ def test_line_energy_resolves_tiny_steps(d):
     assert d.line_energy(xi, delta, np.array([1.0, 0.0]))(1e-15) == pytest.approx(1e-15 * slopes[0], rel=1e-6)
 
 
-@pytest.mark.parametrize("d", LINE, ids=lambda d: f"{d.kind}-{d.p:g}")
+@pytest.mark.parametrize("d", LINE, ids=LINE_IDS)
 def test_line_energy_nan_and_masked_cells(d):
     xi, delta, w = _line_case(d)
     out = w == 0.0
@@ -307,6 +314,22 @@ def test_builtin_parameter_table():
     assert (SEP4.k, SEP4.Lam) == (0.0, 0.25)
     assert SEP4.lam == pytest.approx(2.0 ** (1 - 2.0) / 4.0)
     assert (Q.p, Q.k, Q.beta) == (2.0, 0.0, 0.5)
+
+
+def test_power_family_at_p2():
+    # the quadratic form is the p = 2 member of both built-in families
+    rng = np.random.default_rng(53)
+    xi = rng.standard_normal((50, 30, 2)) * 10.0 ** rng.uniform(-3, 3, (50, 30, 1))
+    delta = rng.standard_normal((50, 30, 2))
+    w = (rng.uniform(size=(50, 30)) < 0.7).astype(float)
+    quad = make_density("quadratic", r=1, n=2)
+    p2, sep2 = PDirichletDensity(2.0, r=1, n=2), SeparablePowerDensity(2.0, r=1, n=2)
+    for d in (p2, sep2):
+        assert np.array_equal(d.value(xi), quad.value(xi))
+        assert np.array_equal(d.grad(xi), quad.grad(xi))
+    for a in (1e-9, 0.5, 3.0):
+        assert p2.line_energy(xi, delta, w)(a) == quad.line_energy(xi, delta, w)(a)
+    assert (quad.p, quad.k, quad.lam, quad.Lam, quad.beta) == (2.0, 0.0, 0.5, 0.5, 0.5)
 
 
 def test_make_density_validation():

@@ -5,10 +5,12 @@ left out: its imports are the package's re-exports), and every module
 imports only the standard library, ``numpy`` and ``elongate`` itself:
 numpy is the only runtime dependency.  Every module-level private
 function or class (``_name``) is referenced somewhere in the package
-outside its own definition.
+outside its own definition.  Every name the benchmark's worker
+(``bench/child.py``) imports from the package exists.
 """
 
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -18,6 +20,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "elongate"
 ALL_MODULES = sorted(SRC.glob("*.py"))
 MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "elongate"}
+BENCH_CHILD = SRC.parents[1] / "bench" / "child.py"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -102,3 +105,28 @@ def test_dead_helpers_are_found():
 def test_every_private_helper_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in ALL_MODULES}
     assert _dead_helpers(sources) == []
+
+
+def _package_imports(source: str) -> list[tuple[str, str]]:
+    """``(module, name)`` of every ``from elongate[.module] import name``."""
+    return sorted(
+        (node.module, a.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "elongate"
+        for a in node.names
+    )
+
+
+def test_package_imports_are_found():
+    source = (
+        "from elongate import Grid, study\nimport elongate.cli\nfrom numpy import fft\n"
+        "def f():\n    from elongate.cli import main as m\n"
+    )
+    assert _package_imports(source) == [("elongate", "Grid"), ("elongate", "study"), ("elongate.cli", "main")]
+
+
+def test_benchmark_imports_exist():
+    # read, not imported: deleting a name the benchmark needs fails here
+    imports = _package_imports(BENCH_CHILD.read_text(encoding="utf-8"))
+    assert imports
+    assert [f"{m}.{n}" for m, n in imports if not hasattr(importlib.import_module(m), n)] == []

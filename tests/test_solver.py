@@ -46,6 +46,10 @@ def test_options_validation():
     for bad in (2.5, float("nan"), 3.0, True, False, "10"):
         with pytest.raises(ValueError, match="integer"):
             SolveOptions(max_iters=bad)
+    for bad in (True, "1e-9"):  # True was the tolerance 1.0
+        with pytest.raises(ValueError, match="grad_tol must be a number"):
+            SolveOptions(grad_tol=bad)
+    assert SolveOptions(grad_tol=np.float32(1e-9)).grad_tol > 0
     assert SolveOptions(max_iters=np.int64(5)).max_iters == 5
     assert [f.name for f in dataclasses.fields(SolveOptions)] == ["grad_tol", "max_iters"]
 
@@ -99,6 +103,27 @@ def test_limit_solve_quadratic_matches_parabola(h):
     assert rep.converged
     x = vg.axis_nodes(0)
     assert np.max(np.abs(u.values - (1 - x * x))) <= 10 * h * h
+
+
+@pytest.mark.parametrize("p,h,tol", [
+    (2.0, 1 / 16, 2e-15),  # measured 2.2e-16 (1 iteration)
+    (3.0, 1 / 16, 1e-10),  # 8.8e-12 (25 iterations)
+    (4.0, 1 / 16, 1e-10),  # 8.9e-12 (34 iterations)
+    (4.0, 1 / 64, 4e-12),  # 3.8e-13 (70 iterations)
+])
+def test_limit_solve_matches_exact_discrete_minimizer(p, h, tol):
+    # With a constant load f every interior node balances the fluxes of its
+    # two cells against the load f h, so the discrete flux |u'|^(p-2) u' is
+    # -f y_c at the cell centre y_c, exactly as in the continuum: the
+    # discrete minimizer sums -h sign(y_c) |f y_c|^(1/(p-1)) from y = -1.
+    # Only the solver's tolerance separates it from the computed limit.
+    vg = build_vertical_grid([1.0], h)
+    u, rep = solve_limit(vg, make_density("p-dirichlet", p, r=1, n=2), LOAD2)
+    assert rep.converged
+    y = vg.axis_nodes(0)
+    yc = 0.5 * (y[1:] + y[:-1])
+    exact = np.concatenate([[0.0], np.cumsum(-vg.h[0] * np.sign(yc) * np.abs(2.0 * yc) ** (1 / (p - 1)))])
+    assert np.max(np.abs(u.values - exact)) <= tol
 
 
 def test_limit_solve_mesh_refinement_order():
@@ -193,7 +218,7 @@ def test_non_finite_gradient_stops_the_solve(kind, p):
         def grad(self, xi):
             return np.full(np.shape(xi), np.nan)
 
-    d = NaNGradient(r=1, n=2) if p is None else NaNGradient(p, r=1, n=2)
+    d = NaNGradient(2.0 if p is None else p, r=1, n=2)
     grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
     u, rep = minimize(grid, d, LOAD2, SolveOptions(max_iters=1000))
     assert not rep.converged
@@ -523,7 +548,7 @@ def test_halved_solve_matches_full_solve(kind, p, cs, ell, h):
     class Full(type(d)):
         mirror_invariant = False
 
-    full = Full(r=cs.r, n=grid.n) if p is None else Full(p, r=cs.r, n=grid.n)
+    full = Full(2.0 if p is None else p, r=cs.r, n=grid.n)
     u, rep = minimize(grid, d, LOAD2)
     u_full, rep_full = minimize(grid, full, LOAD2)
     assert rep.converged and rep_full.converged
@@ -602,7 +627,7 @@ def test_one_iteration_solve_gradient_count():
             return super().grad(xi)
 
     grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
-    u, rep = minimize(grid, CountingQuadratic(r=1, n=2), LOAD2)
+    u, rep = minimize(grid, CountingQuadratic(2.0, r=1, n=2), LOAD2)
     assert rep.converged and rep.iterations == 1
     assert CountingQuadratic.calls <= 3
 
