@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -53,31 +53,67 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "domain": {
-        "r": 1,
-        "cross_section": "box",
-        "ell_list": [2.0, 3.0, 4.0],
-        "vertical_halfwidths": [1.0],
-    },
-    "grid": {"target_h": 0.125, "max_nodes": None},
-    "density": {"kind": "quadratic", "p": 2.0},
-    "load": {"kind": "constant", "value": 2.0},
-    "solver": {"grad_tol": None, "max_iters": 100000, "warm_start": True},
-    "study": {"ell0": 1.0, "floor": None, "fit_models": ["power", "exponential"]},
-    "output": {"directory": "out"},
-}
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that is finite as a float (a huge int is not)."""
+    try:
+        return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _integer(value) -> bool:
+    """A JSON integer of any size, or a float with an integral value."""
+    return (isinstance(value, float) and value.is_integer()) or type(value) is int
+
+
+def _numbers(values) -> bool:
+    return isinstance(values, list) and all(map(_finite, values))
+
+
 _FIT_MODELS = ("power", "exponential")
+_NUMBER, _INTEGER = "a finite number", "a finite integer"
+
+#: Every config key: ``(section, key) -> (default, check, what the check asks for)``.
+#: Defaults that the library defines are read from it.
+_KEYS: dict[tuple[str, str], tuple[Any, Callable[[Any], bool], str]] = {
+    ("domain", "r"): (1, lambda v: _integer(v) and _finite(v), _INTEGER),
+    ("domain", "cross_section"): ("box", lambda v: v in ("box", "ball"), "'box' or 'ball'"),
+    ("domain", "ell_list"): (
+        [2.0, 3.0, 4.0],
+        lambda v: _numbers(v) and v != [] and all(a < b for a, b in zip(v, v[1:])),
+        "a nonempty, strictly ascending array of finite numbers",
+    ),
+    ("domain", "vertical_halfwidths"): ([1.0], _numbers, "an array of finite numbers"),
+    ("grid", "target_h"): (0.125, _finite, _NUMBER),
+    ("grid", "max_nodes"): (SweepConfig.max_nodes, lambda v: v is None or _integer(v), f"null or {_INTEGER}"),
+    ("density", "kind"): ("quadratic", lambda v: isinstance(v, str), "a string"),
+    ("density", "p"): (2.0, lambda v: v is None or _finite(v), f"null or {_NUMBER}"),
+    ("load", "kind"): ("constant", lambda v: v == "constant", "'constant' (the only load a config can set)"),
+    ("load", "value"): (2.0, _finite, _NUMBER),
+    ("solver", "grad_tol"): (SolveOptions.grad_tol, lambda v: v is None or _finite(v), f"null or {_NUMBER}"),
+    ("solver", "max_iters"): (SolveOptions.max_iters, _integer, _INTEGER),
+    ("solver", "warm_start"): (SweepConfig.warm_start, lambda v: isinstance(v, bool), "true or false"),
+    ("study", "ell0"): (SweepConfig.ell0, _finite, _NUMBER),
+    ("study", "floor"): (None, lambda v: v is None or _finite(v), f"null or {_NUMBER}"),
+    ("study", "fit_models"): (
+        list(_FIT_MODELS),
+        lambda v: isinstance(v, list) and all(m in _FIT_MODELS for m in v),
+        f"an array of names from {_FIT_MODELS}",
+    ),
+    ("output", "directory"): ("out", lambda v: isinstance(v, str) and v != "", "a nonempty string"),
+}
 
 
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and validate; the result rebuilds the run exactly."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(_DEFAULTS)
+    rc: dict[str, dict[str, Any]] = {}
+    for (section, key), (default, _, _) in _KEYS.items():
+        rc.setdefault(section, {})[key] = copy.deepcopy(default)
+    unknown = set(raw) - set(rc)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    rc = copy.deepcopy(_DEFAULTS)
     for section, values in raw.items():
         if not isinstance(values, dict):
             raise ConfigError(f"section {section!r} must be an object")
@@ -85,87 +121,42 @@ def resolve_config(raw: dict) -> dict:
         if extra:
             raise ConfigError(f"unknown keys in {section!r}: {sorted(extra)}")
         rc[section].update(values)
+    for (section, key), (_, check, must) in _KEYS.items():
+        if not check(rc[section][key]):
+            raise ConfigError(f"{section}.{key} must be {must}, got {rc[section][key]!r}")
 
     dom = rc["domain"]
-    ells = _config_list(rc, "domain", "ell_list")
-    if not ells or any(b <= a for a, b in zip(ells, ells[1:])):
-        raise ConfigError("domain.ell_list must be nonempty and strictly ascending")
-    dom["vertical_halfwidths"] = _config_list(rc, "domain", "vertical_halfwidths")
-    if "n" in dom and dom["n"] != dom["r"] + len(dom["vertical_halfwidths"]):
+    dom["ell_list"] = [float(v) for v in dom["ell_list"]]
+    dom["vertical_halfwidths"] = [float(v) for v in dom["vertical_halfwidths"]]
+    if "n" in dom and dom.pop("n") != dom["r"] + len(dom["vertical_halfwidths"]):
         raise ConfigError("domain.n inconsistent with r + len(vertical_halfwidths)")
-    dom.pop("n", None)
-    if dom["cross_section"] not in ("box", "ball"):
-        raise ConfigError("domain.cross_section must be 'box' or 'ball'")
-    if rc["load"]["kind"] != "constant":
-        raise ConfigError("only constant loads are configurable from files")
-    models = rc["study"]["fit_models"]
-    if not isinstance(models, list) or any(m not in _FIT_MODELS for m in models):
-        raise ConfigError(f"study.fit_models must list names from {_FIT_MODELS}, got {models!r}")
-    if not isinstance(rc["solver"]["warm_start"], bool):
-        raise ConfigError(f"solver.warm_start must be true or false, got {rc['solver']['warm_start']!r}")
     try:
-        if rc["study"]["floor"] is not None and not math.isfinite(_config_float(rc, "study", "floor")):
-            raise ConfigError(f"study.floor must be finite, got {rc['study']['floor']}")
         _build_objects(rc)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:  # the library's range checks
         raise ConfigError(str(exc)) from exc
     return rc
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _config_int(rc: dict, section: str, key: str) -> int:
-    value = rc[section][key]
-    if not _is_number(value) or isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{section}.{key} must be a finite integer, got {value!r}")
-    return int(value)
-
-
-def _config_float(rc: dict, section: str, key: str) -> float:
-    value = rc[section][key]
-    if not _is_number(value):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _config_list(rc: dict, section: str, key: str) -> list[float]:
-    """The key's JSON array of numbers as floats, stored back into ``rc``."""
-    values = rc[section][key]
-    if not isinstance(values, list) or not all(_is_number(v) for v in values):
-        raise ConfigError(f"{section}.{key} must be an array of numbers, got {values!r}")
-    rc[section][key] = [float(v) for v in values]
-    return rc[section][key]
-
-
-def _build_objects(rc: dict):
-    dom, grid_cfg = rc["domain"], rc["grid"]
-    cs = CrossSection(dom["cross_section"], _config_int(rc, "domain", "r"))
+def _build_objects(rc: dict) -> SweepConfig:
+    """The checked config's values, converted, as library objects."""
+    dom, sol, p, max_nodes = rc["domain"], rc["solver"], rc["density"]["p"], rc["grid"]["max_nodes"]
+    cs = CrossSection(dom["cross_section"], int(dom["r"]))
     n = cs.r + len(dom["vertical_halfwidths"])
-    p = None if rc["density"]["p"] is None else _config_float(rc, "density", "p")
-    density = make_density(rc["density"]["kind"], p, cs.r, n)
-    load = Load.constant(_config_float(rc, "load", "value"))
-    sol = rc["solver"]
-    opts = SolveOptions(
-        grad_tol=None if sol["grad_tol"] is None else _config_float(rc, "solver", "grad_tol"),
-        max_iters=_config_int(rc, "solver", "max_iters"),
-    )
-    sweep = SweepConfig(
+    return SweepConfig(
         cross_section=cs,
         vertical_halfwidths=tuple(dom["vertical_halfwidths"]),
         ells=tuple(dom["ell_list"]),
-        target_h=_config_float(rc, "grid", "target_h"),
-        density=density,
-        load=load,
-        options=opts,
-        ell0=_config_float(rc, "study", "ell0"),
+        target_h=float(rc["grid"]["target_h"]),
+        density=make_density(rc["density"]["kind"], None if p is None else float(p), cs.r, n),
+        load=Load.constant(rc["load"]["value"]),
+        options=SolveOptions(
+            grad_tol=None if sol["grad_tol"] is None else float(sol["grad_tol"]),
+            max_iters=int(sol["max_iters"]),
+        ),
+        ell0=float(rc["study"]["ell0"]),
         warm_start=sol["warm_start"],
-        max_nodes=None if grid_cfg["max_nodes"] is None else _config_int(rc, "grid", "max_nodes"),
+        max_nodes=None if max_nodes is None else int(max_nodes),
     )
-    return sweep
 
 
 def _load_config(path: str) -> dict:
@@ -244,24 +235,14 @@ def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
         grad_tol = sweep.options.grad_tol or default_grad_tol(sweep.density)
         floor = 100.0 * grad_tol * abs(sweep.load.value) * result.final_grid.cell_volume
     floor = float(floor)
-    models = rc["study"]["fit_models"]
-    fits = {}
-    if "power" in models:
-        fits["power"] = fit_rate([(r.ell, r.err_w1p) for r in good], "power", floor)
-    if "exponential" in models:
-        fits["exponential"] = fit_rate(
-            [(r.ell, r.err_grad_p ** (1.0 / p)) for r in good], "exponential", floor
-        )
+    points = {"power": [(r.ell, r.err_w1p) for r in good],
+              "exponential": [(r.ell, r.err_grad_p ** (1.0 / p)) for r in good]}
+    fits = {m: fit_rate(points[m], m, floor) for m in _FIT_MODELS if m in rc["study"]["fit_models"]}
     _emit_json(os.path.join(out, "fits.json"), {k: f.to_json() for k, f in fits.items()})
 
-    lines_exp = "\n".join(
-        f"{r.ell!r} {math.log(r.err_grad_p ** (1.0 / p))!r}" for r in good if r.err_grad_p > 0
-    )
-    lines_pow = "\n".join(
-        f"{math.log(r.ell)!r} {math.log(r.err_w1p)!r}" for r in good if r.err_w1p > 0
-    )
-    atomic_write_text(os.path.join(out, "plot-exponential.dat"), lines_exp + "\n")
-    atomic_write_text(os.path.join(out, "plot-power.dat"), lines_pow + "\n")
+    for model, pts in points.items():  # ln e against ell, or against ln ell for the power model
+        rows = (f"{math.log(x) if model == 'power' else x!r} {math.log(e)!r}" for x, e in pts if e > 0)
+        atomic_write_text(os.path.join(out, f"plot-{model}.dat"), "\n".join(rows) + "\n")
 
     verdicts = convergence_verdicts(records, sweep.density, sweep.cross_section.r, fits)
     _emit_json(os.path.join(out, "verdicts.json"), [v.to_json() for v in verdicts])
@@ -347,6 +328,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_audit_density(args)
         rc = _load_config(args.config)
         sweep = _build_objects(rc)
+        if args.command == "profile" and sweep.ells[-1] < 1:  # its levels t are 1 .. floor(ell)
+            raise ConfigError(f"profile needs domain.ell_list to reach 1, got {rc['domain']['ell_list']}")
         if args.dry_run:
             return _dry_run(sweep)
         out = args.out or rc["output"]["directory"]

@@ -223,10 +223,6 @@ class Grid:
         return gauge(self.cross_section, np.stack(mesh, axis=-1))
 
 
-def _axis_cells(extent: float, target_h: float) -> int:
-    return max(1, int(math.ceil(extent / target_h - 1e-12)))
-
-
 def _assemble_grid(
     r: int,
     ell: float,
@@ -240,7 +236,10 @@ def _assemble_grid(
         raise ValueError("target spacing must be positive")
     if target_h > min(extents) * (1 + 1e-12):
         raise ValueError("target spacing must not exceed the smallest axis extent")
-    ncells = [_axis_cells(e, target_h) for e in extents]
+    ratios = [e / target_h for e in extents]
+    if not all(map(math.isfinite, ratios)):
+        raise NodeBudgetError(f"grid would have infinitely many cells: extents {extents}, spacing {target_h}")
+    ncells = [max(1, int(math.ceil(q - 1e-12))) for q in ratios]
     shape = tuple(m + 1 for m in ncells)
     budget = DEFAULT_NODE_BUDGET if max_nodes is None else max_nodes
     count = int(np.prod(shape))

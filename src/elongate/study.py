@@ -253,7 +253,9 @@ def decay_profile(u: ScalarField, limit_ext: ScalarField, p: float, t_values: Se
     bounding slab at the largest ``t`` are read.
     """
     t_values = np.asarray(sorted(float(t) for t in t_values))
-    if t_values.size == 0 or t_values[0] <= 0:
+    if t_values.size == 0:
+        raise ValueError("decay_profile needs at least one level t")
+    if t_values[0] <= 0:
         raise ValueError("t values must be positive")
     grid, r = u.grid, u.grid.r
     outer, _ = _core_slab(grid, t_values[-1])

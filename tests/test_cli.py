@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from elongate.cli import main, resolve_config, ConfigError
+from elongate.cli import _KEYS, main, resolve_config, ConfigError
 
 
 def _write_config(path, **overrides):
@@ -146,6 +146,75 @@ def test_wrong_config_type_is_config_error(tmp_path, capsys, section, key, value
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{section}.{key}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _table_cases():
+    """A value of the wrong JSON type for every key of the config table, and
+    NaN and Infinity for every number, or in every array of numbers."""
+    for (section, key), (_, check, _) in _KEYS.items():
+        name = f"{section}.{key}"
+        yield pytest.param(section, key, "1" if check(1) else 5, id=f"{name}-type")
+        for bad in (float("nan"), float("inf")):
+            if check(1):
+                yield pytest.param(section, key, bad, id=f"{name}-{bad}")
+            if check([1.0]):
+                yield pytest.param(section, key, [bad], id=f"{name}-[{bad}]")
+
+
+@pytest.mark.parametrize("section,key,value", [
+    *_table_cases(),
+    pytest.param("density", "kind", None, id="density.kind-null"),
+    pytest.param("output", "directory", "", id="output.directory-empty"),
+    pytest.param("output", "directory", None, id="output.directory-null"),
+])
+def test_every_config_key_is_checked(tmp_path, capsys, section, key, value):
+    cfg = _write_config(tmp_path / "c.json", **{section: {key: value}})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{section}.{key}" in err and "Traceback" not in err
+    if "NaN" in cfg.read_text() or "Infinity" in cfg.read_text():
+        assert "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("domain", "ell_list", [1e308]),  # the grid's extent 2e308 is inf
+    ("domain", "vertical_halfwidths", [1e308]),
+    ("grid", "target_h", 5e-324),
+    ("domain", "r", 10**400),  # too large for a float
+    ("load", "value", 10**400),
+], ids=["ell_list", "vertical_halfwidths", "target_h", "r", "load_value"])
+def test_overflowing_config_number_is_config_error(tmp_path, capsys, section, key, value):
+    cfg = _write_config(tmp_path / "c.json", **{section: {key: value}})
+    out = tmp_path / "o"
+    for command in (["--dry-run", "sweep"], ["sweep"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key", [("solver", "max_iters"), ("grid", "max_nodes")])
+def test_huge_integer_limits_are_accepted(tmp_path, section, key):
+    cfg = _write_config(tmp_path / "c.json", **{section: {key: 10**400}})
+    assert main(["--dry-run", "sweep", "--config", str(cfg)]) == 0
+    assert resolve_config(json.loads(cfg.read_text()))[section][key] == 10**400
+
+
+def test_profile_below_ell_1_is_config_error(tmp_path, capsys, monkeypatch):
+    # profile's levels t are 1 .. floor(ell): below ell = 1 there are none
+    def no_solve(*args, **kwargs):
+        raise AssertionError("profile solved")
+
+    monkeypatch.setattr("elongate.cli.run_sweep", no_solve)
+    cfg = _write_config(tmp_path / "c.json", domain={"ell_list": [0.5]}, study={"ell0": 0.5})
+    out = tmp_path / "o"
+    for command in (["profile"], ["--dry-run", "profile"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "domain.ell_list" in err
+        assert not out.exists()
 
 
 def test_unknown_fit_model_is_config_error(tmp_path, capsys):

@@ -124,6 +124,21 @@ def test_node_budget_guard():
         build_grid(dom, 0.5, max_nodes=10)
 
 
+def test_infinite_cell_count_is_a_budget_error():
+    # an extent of 2e308 or a subnormal spacing: the cell count overflows to inf
+    box = CrossSection("box", 1)
+    calls = [
+        lambda: build_grid(DomainSpec(box, 1e308, (1.0,)), 0.125),
+        lambda: build_grid(DomainSpec(box, 1.0, (1e308,)), 0.125),
+        lambda: build_grid(DomainSpec(box, 1.0, (1.0,)), 5e-324),
+        lambda: build_vertical_grid((1e308,), 0.125),
+        lambda: build_vertical_grid((1.0,), 5e-324),
+    ]
+    for call in calls:
+        with pytest.raises(NodeBudgetError, match="infinitely many cells"):
+            call()
+
+
 def test_target_h_must_fit():
     dom = DomainSpec(CrossSection("box", 1), 2.0, (0.25,))
     with pytest.raises(ValueError):

@@ -6,11 +6,15 @@ imports only the standard library, ``numpy`` and ``elongate`` itself:
 numpy is the only runtime dependency.  Every module-level private
 function or class (``_name``) is referenced somewhere in the package
 outside its own definition.  Every name the benchmark's worker
-(``bench/child.py``) imports from the package exists.
+(``bench/child.py``) imports from the package exists, and so does every
+attribute, parameter and config key it uses.
 """
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -130,3 +134,47 @@ def test_benchmark_imports_exist():
     imports = _package_imports(BENCH_CHILD.read_text(encoding="utf-8"))
     assert imports
     assert [f"{m}.{n}" for m, n in imports if not hasattr(importlib.import_module(m), n)] == []
+
+
+def _load_bench_child():
+    """``bench/child.py`` as a module, loaded from its path without writing
+    bytecode next to it; the ``sys.path`` entry and the ``workloads`` module
+    it adds are removed afterwards."""
+    saved_path, saved_workloads = list(sys.path), sys.modules.get("workloads")
+    saved_dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_child", BENCH_CHILD)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_dont_write
+        if saved_workloads is None:
+            sys.modules.pop("workloads", None)
+        else:
+            sys.modules["workloads"] = saved_workloads
+    return child
+
+
+def test_benchmark_attributes_exist():
+    import elongate.cli
+    from elongate import SweepRecord, SweepResult, make_density, minimize
+
+    child = _load_bench_child()
+    for workload in child.WORKLOADS.values():
+        config = workload["config"]
+        if workload["kind"] == "library":
+            # SweepConfig(warm_start=) and the solver.warm_start key
+            assert child.sweep_config(config).warm_start is config["solver"]["warm_start"]
+        else:
+            rc = elongate.cli.resolve_config(config)
+            assert {"cross_section", "r", "vertical_halfwidths", "ell_list"} <= set(rc["domain"])
+            assert rc["grid"]["target_h"] > 0
+    assert "warm_start" in inspect.signature(minimize).parameters
+    assert callable(make_density("p-dirichlet", 4.0, r=1, n=2).value_increment)
+    assert callable(SweepRecord.to_json)
+    assert "limit_report" in {f.name for f in dataclasses.fields(SweepResult)}
+    # the names bench/spans.py wraps on elongate.cli
+    for name in ("resolve_config", "run_sweep", "fit_rate", "convergence_verdicts", "records_to_csv",
+                 "atomic_write_text"):
+        assert callable(getattr(elongate.cli, name, None)), name

@@ -8,6 +8,8 @@ x) cos(lam_k y) / cosh(lam_k ell)``.  Its gradient energy and the two
 core norms (``p = 2``, core ``|x| < ell0``) follow by orthogonality in
 ``y``.  Sweeps at ``h = 1/16`` and ``1/32`` converge at ``O(h^2)``, so
 the Richardson value ``(4 E_32 - E_16) / 3`` is compared with them.
+Their local decay rates are compared with the exact decay rate of the
+discrete scheme, which differs from ``pi/2`` by ``O(h^2)``.
 """
 
 import math
@@ -56,9 +58,10 @@ def hgrad_p(ell, ell0):
 
 
 @pytest.fixture(scope="module")
-def richardson():
-    records = []
-    for h in (1 / 16, 1 / 32):
+def sweeps():
+    """The cold sweep over ``ELLS`` at each spacing, by spacing."""
+    out = {}
+    for h in (1 / 8, 1 / 16, 1 / 32):
         cfg = SweepConfig(
             cross_section=CrossSection("box", 1),
             vertical_halfwidths=(1.0,),
@@ -70,10 +73,15 @@ def richardson():
             ell0=ELL0,
             warm_start=False,
         )
-        records.append(run_sweep(cfg).records)
-    assert all(r.converged for rs in records for r in rs)
+        out[h] = run_sweep(cfg).records
+        assert all(r.converged for r in out[h])
+    return out
+
+
+@pytest.fixture(scope="module")
+def richardson(sweeps):
     return {
-        col: [(4 * getattr(b, col) - getattr(a, col)) / 3 for a, b in zip(*records)]
+        col: [(4 * getattr(b, col) - getattr(a, col)) / 3 for a, b in zip(sweeps[1 / 16], sweeps[1 / 32])]
         for col in ("total_grad_energy", "err_grad_p", "hgrad_p")
     }
 
@@ -104,3 +112,33 @@ def test_core_norms_match_the_series(richardson, column, series):
     for ell, value in zip(ELLS[1:], richardson[column][1:]):
         exact = series(ell, ELL0)
         assert abs(value - exact) <= 3e-5 * (ell - ELL0) ** 2 * exact, (ell, value, exact)
+
+
+def discrete_decay_rate(h_x, h_y):
+    """The exact decay rate of the discrete quadratic problem, vertical half-width 1.
+
+    The Hessian's symbol on a box grid is ``(4/h_x^2) sin^2(t_x/2)
+    cos^2(t_y/2) + (4/h_y^2) cos^2(t_x/2) sin^2(t_y/2)``.  A mode
+    ``exp(-mu x)`` in the slowest vertical mode ``t_y = pi h_y / 2`` is
+    in its kernel when ``tanh(mu h_x / 2) = (h_x / h_y) tan(pi h_y / 4)``;
+    at ``h_x = h_y = h`` that is ``mu_h = (2/h) artanh(tan(pi h / 4))``.
+    """
+    return 2 / h_x * math.atanh(h_x / h_y * math.tan(math.pi * h_y / 4))
+
+
+def test_discrete_decay_rate_values():
+    assert discrete_decay_rate(1 / 8, 1 / 8) == pytest.approx(1.5809879, abs=1e-7)
+    assert discrete_decay_rate(1 / 16, 1 / 16) == pytest.approx(1.5733257, abs=1e-7)
+    assert discrete_decay_rate(1 / 32, 1 / 32) == pytest.approx(1.5714275, abs=1e-7)
+
+
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16], ids=["h8", "h16"])
+def test_local_decay_rate_is_the_discrete_rate(sweeps, h):
+    # measured: the local rates differ from mu_h by -1.4e-7 at 5 -> 6 and by
+    # at most 7.3e-9 from there to 11 -> 12; pi/2 is 2.5e-3 away at h = 1/16
+    records = [r for r in sweeps[h] if r.ell >= 5]
+    mu = discrete_decay_rate(records[0].h_horiz, records[0].h_vert)
+    rates = [0.5 * math.log(a.err_grad_p / b.err_grad_p) for a, b in zip(records, records[1:])]
+    assert len(rates) == 7
+    assert max(abs(rate - mu) for rate in rates) <= 2e-6, (mu, rates)
+    assert min(abs(rate - math.pi / 2) for rate in rates) > 2e-6

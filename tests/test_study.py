@@ -263,9 +263,9 @@ def test_decay_profile_partition_and_monotonicity():
 def test_decay_profile_validation():
     res = run_sweep(_sweep_config(ells=(2.0,)))
     ext = extend_vertical(res.limit, res.final_grid)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one level"):
         decay_profile(res.final_field, ext, 2.0, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         decay_profile(res.final_field, ext, 2.0, [-1.0, 1.0])
 
 
