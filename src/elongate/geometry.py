@@ -242,7 +242,7 @@ def _assemble_grid(
     ncells = [max(1, int(math.ceil(q - 1e-12))) for q in ratios]
     shape = tuple(m + 1 for m in ncells)
     budget = DEFAULT_NODE_BUDGET if max_nodes is None else max_nodes
-    count = int(np.prod(shape))
+    count = math.prod(shape)  # exact: np.prod wraps around past 2^63
     if count > budget:
         raise NodeBudgetError(f"grid would have {count} nodes, budget is {budget}")
     h = tuple(e / m for e, m in zip(extents, ncells))

@@ -1,17 +1,19 @@
 """The solver's preconditioner: the exact inverse of the quadratic Hessian.
 
 With one centroid quadrature point the Hessian of ``|grad u|^2 / 2`` on
-a grid's bounding box is diagonalized by sine vectors, so its inverse
-is applied by fast transforms along every axis.  On a grid with masked
-cells (a ball cross-section) a capacitance-matrix correction, one small
-dense matrix per vertical sine mode, makes the inverse exact on the
-masked grid too.  Every axis is folded into mirror sums and differences
-before any transform, so the preconditioner commutes bit for bit with
-the mirror flip of every axis and a symmetric problem keeps an exactly
-symmetric iterate (round-off asymmetry costs iterations).  Short axes
-transform with precomputed dense sine matrices, long ones with
-``rfft``.  Indices, view shapes and matrices are set up once per solve,
-so an application does only the arithmetic.
+a grid's bounding box is diagonalized by sine vectors (fast
+diagonalization, Lynch, Rice & Thomas 1964), so its inverse is applied
+by one sine transform along every axis.  On a grid with masked cells (a
+ball cross-section) a capacitance-matrix correction, one small dense
+matrix per vertical sine mode, makes the inverse exact on the masked
+grid too.  Short axes transform with a precomputed dense sine matrix,
+long ones with ``rfft``.  A mirror-symmetric problem comes halved along
+its symmetric axes (:func:`elongate.solver._halve`), and a halved axis
+transforms to its odd modes alone; halving is what keeps a symmetric
+solution exactly symmetric.  An axis that is not halved is transformed
+whole, and symmetry along it holds to round-off.  Indices, view shapes
+and matrices are set up once per solve, so an application does only the
+arithmetic.
 """
 
 from __future__ import annotations
@@ -27,40 +29,18 @@ from .field import _along
 from .geometry import Grid
 
 #: Axes with at most this many interior nodes take their sine transform from
-#: dense matrices (one BLAS product per parity); longer ones from ``rfft``.
+#: a dense matrix (one BLAS product); longer ones from ``rfft``.
 _DENSE_MAX = 128
-
-
-@functools.lru_cache(maxsize=None)
-def _sine_halves(cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DST-I of an axis with ``cells`` cells, split by mode parity.
-
-    The full matrix is ``Q[k, j] = sqrt(2 / N) sin(pi k j / N)`` for ``k, j
-    = 1 .. N-1``.  Odd modes are even about the axis midpoint and even
-    modes odd, so the odd-mode rows act on the mirror sums (the middle
-    node last) and the even-mode rows on the mirror differences: the
-    returned blocks are ``Q[odd, :ceil((N-1)/2)]`` and ``Q[even,
-    :floor((N-1)/2)]``.  The argument ``k j`` is reduced in integers to
-    ``[0, N/2]``, so every entry is the correctly signed sine of an angle
-    in ``[0, pi/2]``: ``Q^2 = I`` holds to an ulp for ``N`` a power of two
-    up to 128 (plain ``sin(pi k j / N)`` is off by up to 6e-15 there).
-    Cached per ``N``, which only axes of at most ``_DENSE_MAX`` interior
-    nodes ask for; read-only.
-    """
-    j = np.arange(1, cells)
-    blocks = []
-    for k, width in ((j[0::2], cells // 2), (j[1::2], (cells - 1) // 2)):
-        q = _sines(cells, k[:, None], j[:width])
-        q.setflags(write=False)
-        blocks.append(q)
-    return blocks[0], blocks[1]
 
 
 def _sines(cells: int, k: np.ndarray, j: np.ndarray) -> np.ndarray:
     """``sqrt(2 / N) sin(pi k j / N)`` for integer arrays ``k`` and ``j`` (broadcast).
 
-    ``k j`` is reduced in integers to an angle in ``[0, pi/2]`` and a sign,
-    as :func:`_sine_halves` describes.
+    ``k j`` is reduced in integers to an angle in ``[0, pi/2]`` and a
+    sign, so every entry is the correctly signed sine of such an angle:
+    the orthonormal DST-I (``k, j = 1 .. N-1``) squares to the identity
+    to an ulp for ``N`` a power of two up to 128 (plain ``sin(pi k j /
+    N)`` is off by up to 6e-15 there).
     """
     table = math.sqrt(2.0 / cells) * np.sin(np.pi / cells * np.arange(cells // 2 + 1))
     m = (k * j) % (2 * cells)
@@ -69,10 +49,17 @@ def _sines(cells: int, k: np.ndarray, j: np.ndarray) -> np.ndarray:
     return q
 
 
-def _modes(ax: "_FoldedSine") -> np.ndarray:
-    """Mode numbers of an axis in the order :class:`_FoldedSine` stores them."""
-    m = ax.cells
-    return np.arange(1, m, 2) if ax.half else np.concatenate((np.arange(1, m, 2), np.arange(2, m, 2)))
+@functools.lru_cache(maxsize=None)
+def _sine_matrix(cells: int, half: bool) -> np.ndarray:
+    """Dense sine transform of an axis with ``cells`` cells: modes by nodes.
+
+    The orthonormal DST-I, or with ``half`` its odd-mode rows over the
+    nodes ``N/2 .. N-1``.  Cached per ``(N, half)``, which only axes of at
+    most ``_DENSE_MAX`` interior nodes ask for; read-only.
+    """
+    q = _sines(cells, np.arange(1, cells, 1 + half)[:, None], np.arange(cells // 2 if half else 1, cells))
+    q.setflags(write=False)
+    return q
 
 
 def _sine_sums(values: np.ndarray, length: int, place: slice, take: slice, out: np.ndarray) -> None:
@@ -87,47 +74,33 @@ def _sine_sums(values: np.ndarray, length: int, place: slice, take: slice, out: 
     np.negative(np.fft.rfft(z, axis=1).imag[:, take], out=out)
 
 
-class _FoldedSine:
-    """The sine transform along one axis of an array of fixed shape, in mirror-folded form.
+class _SineAxis:
+    """The sine transform along one axis of an array of fixed shape.
 
-    ``fold`` replaces the axis by its mirror sums (the middle node last)
-    followed by its mirror differences, and undoes that.  A flip of
-    the axis leaves the sums bitwise unchanged and negates the
-    differences exactly, and flips of the other axes then permute
-    nothing, so a transform of folded data commutes with every flip bit
-    for bit, whatever the order of its floating-point sums.  Odd modes
-    are even about the midpoint, so ``transform`` maps the sums to the
-    odd modes and the differences to the even modes, stored in that
-    order.  Axes with at most ``_DENSE_MAX`` interior nodes use the
-    orthonormal matrices of :func:`_sine_halves`; longer ones zero-padded
-    ``rfft`` sums, which scale a round trip by ``N / 2``.  Every index,
-    view shape and matrix orientation is fixed at construction, so a
-    call does only the arithmetic; both methods write into ``out``.
+    ``transform`` maps the axis's interior nodes ``1 .. N-1`` to its modes
+    ``1 .. N-1`` (``modes``), in natural order, and back.  Axes with at
+    most ``_DENSE_MAX`` interior nodes use the orthonormal matrix of
+    :func:`_sine_matrix`; longer ones zero-padded ``rfft`` sums of length
+    ``2N``, which scale a round trip by ``N / 2`` (``scale``).  Every
+    index, view shape and matrix orientation is fixed at construction,
+    so a call does only the arithmetic and writes into ``out``.
 
     With ``half`` the axis holds nodes ``N/2 .. N-1`` of a mirror-symmetric
     axis of ``N`` cells, the upper half that the solver keeps (see
-    :func:`_halve`).  Its mirror sums would be its values in reverse
-    order, twice over, and its differences vanish, so it is never folded
-    and transforms to the odd modes alone: by the odd-mode matrix with
-    its columns reversed, or by ``rfft`` sums over the reversed values.
-    The factor 2 is left to the caller.
+    :func:`_halve`).  Only the odd modes, which are even about the
+    midpoint, occur: the odd-mode rows of the matrix, or ``rfft`` sums with
+    the values placed in reverse at ``N/2 .. 1`` (node ``N - i`` mirrors
+    node ``i``).  The factor 2 of the mirror image is left to the caller.
     """
 
     def __init__(self, shape: tuple[int, ...], axis: int, half: bool = False):
         j = shape[axis]  # interior nodes, or the free nodes of a halved axis
         self.half = half
         self.cells = cells = 2 * j if half else j + 1
-        c, h = cells // 2, j // 2  # sums and odd modes, differences and even modes
-        # nodes i and N - i
-        mirror = (_along(axis, slice(0, h)), _along(axis, slice(j - 1, c - 1, -1)))
-        folded = (_along(axis, slice(0, h)), _along(axis, slice(c, j)))
-        #: (sources, destinations) of the fold, then of its inverse
-        self.folds = ((mirror, folded), (folded, mirror))
-        self.middle = _along(axis, slice(h, c)) if c > h else None  # its own mirror
+        self.modes = np.arange(1, cells, 1 + half)
         self.shape3 = (math.prod(shape[:axis]), j, math.prod(shape[axis + 1:]))
         # one matrix product, not ``pre`` matrix-vector products
         self.flat = self.shape3[2] == 1
-        parts = (slice(0, c), slice(c, j))[: 1 if half else 2]
         dense = cells - 1 <= _DENSE_MAX
         self.scale = 1.0 if dense else 0.5 * cells
         self.products = self.sines = None
@@ -136,43 +109,23 @@ class _FoldedSine:
             # transposes for the inverse.  A flat array's ``q.T`` is a
             # contiguous copy, with which a product is ~30% faster than with
             # the transposed view; the other transpose stays a view
-            blocks = _sine_halves(cells)
-            if half:  # columns reversed once, so BLAS sees positive strides
-                blocks = (np.ascontiguousarray(blocks[0][:, ::-1]),)
-            halves = [(q, np.ascontiguousarray(q.T) if self.flat else q.T, part) for q, part in zip(blocks, parts)]
-            self.products = tuple(
-                tuple((qt if self.flat != inverse else q, part) for q, qt, part in halves)
-                for inverse in (False, True)
-            )
+            q = _sine_matrix(cells, half)
+            qt = np.ascontiguousarray(q.T) if self.flat else q.T
+            self.products = (qt, q) if self.flat else (q, qt)
         else:
-            sums = slice(c, 0, -1) if half else slice(1, c + 1)
-            modes, diffs = slice(1, cells, 2), slice(1, h + 1)
-            self.sines = tuple(
-                [(2 * cells, place, take, parts[0])] + [(cells, diffs, diffs, part) for part in parts[1:]]
-                for place, take in ((sums, modes), (modes, sums))
-            )
-
-    def fold(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Mirror sums, then differences, along the axis; ``inverse`` unfolds."""
-        (lo, hi), (plus, minus) = self.folds[inverse]
-        np.add(x[lo], x[hi], out=out[plus])
-        np.subtract(x[lo], x[hi], out=out[minus])
-        if self.middle is not None:
-            out[self.middle] = x[self.middle]
-        return out
+            nodes = slice(j, 0, -1) if half else slice(1, cells)
+            modes = slice(1, cells, 1 + half)
+            self.sines = ((nodes, modes), (modes, nodes))
 
     def transform(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Modes of folded values, or with ``inverse`` folded values of modes."""
+        """Modes of node values, or with ``inverse`` node values of modes."""
         x3, y3 = x.reshape(self.shape3), out.reshape(self.shape3)
         if self.sines is not None:
-            for length, place, take, part in self.sines[inverse]:
-                _sine_sums(x3[:, part], length, place, take, y3[:, part])
+            _sine_sums(x3, 2 * self.cells, *self.sines[inverse], y3)
         elif self.flat:
-            for q, part in self.products[inverse]:
-                np.matmul(x3[:, part, 0], q, out=y3[:, part, 0])
+            np.matmul(x3[:, :, 0], self.products[inverse], out=y3[:, :, 0])
         else:
-            for q, part in self.products[inverse]:
-                np.matmul(q, x3[:, part], out=y3[:, part])
+            np.matmul(self.products[inverse], x3, out=y3)
         return out
 
 
@@ -183,11 +136,10 @@ def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarr
     on the grid's bounding box is ``vol * sum_a K_a / h_a^2 (x)
     prod_{b != a} M_b`` over the interior nodes, with the 1-D stiffness
     ``K = tridiag(-1, 2, -1)`` and corner-mean mass ``M = tridiag(1, 2,
-    1) / 4``.  Sine vectors diagonalize both (fast diagonalization,
-    Lynch, Rice & Thomas 1964): the eigenvalues are ``vol * sum_a (4 /
-    h_a^2) sin^2(th_a / 2) prod_{b != a} cos^2(th_b / 2)`` with ``th_a =
-    k_a pi / N_a`` for ``N_a`` cells on axis ``a``, listed odd modes
-    first as :class:`_FoldedSine` stores them.
+    1) / 4``.  Sine vectors diagonalize both: the eigenvalues are ``vol
+    * sum_a (4 / h_a^2) sin^2(th_a / 2) prod_{b != a} cos^2(th_b / 2)``
+    with ``th_a = k_a pi / N_a`` for ``N_a`` cells on axis ``a``
+    (:func:`_eigen_parts`), over the modes of each :class:`_SineAxis`.
 
     On a grid with masked cells or fixed nodes inside the box, the
     correction of :func:`_capacitance` turns this into the exact inverse
@@ -195,8 +147,7 @@ def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarr
     solve per vertical mode and a box inverse of the correction.  A box
     grid takes no correction and no extra set-up.  The result is zeroed
     at every Dirichlet node, so the map is symmetric and positive
-    definite on the free nodes, and it commutes bit for bit with the
-    mirror flip of every axis.
+    definite on the free nodes.
 
     On a grid halved along the axes ``halved`` (:func:`_halve`) it is the
     exact inverse of the halved problem's Hessian: a halved axis of ``N /
@@ -208,41 +159,22 @@ def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarr
     """
     inner = tuple(slice(0 if a in halved else 1, -1) for a in range(grid.n))
     shape = tuple(m if a in halved else m - 1 for a, m in enumerate(grid.cell_shape))
-    axes = [_FoldedSine(shape, a, a in halved) for a in range(grid.n)]
-    folding = [ax for ax in axes if not ax.half]
-    half_angles = []
-    for a, ax in enumerate(axes):
-        half_angles.append((0.5 * np.pi / ax.cells * _modes(ax)).reshape([-1 if b == a else 1 for b in range(grid.n)]))
-    lam = np.zeros(shape)
-    for a in range(grid.n):
-        term = 4.0 / grid.h[a] ** 2 * np.sin(half_angles[a]) ** 2
-        for b in range(grid.n):
-            if b != a:
-                term = term * np.cos(half_angles[b]) ** 2
-        lam += term
+    axes = [_SineAxis(shape, a, a in halved) for a in range(grid.n)]
+    lam = _eigen_parts([(grid.h[a], ax.cells, ax.modes) for a, ax in enumerate(axes)])[0].reshape(shape)
     inv = 2.0 ** len(halved) / (lam * (grid.cell_volume * math.prod(ax.scale for ax in axes)))
     fixed = grid.dirichlet[inner]
     fixed = fixed if fixed.any() else None
 
     def box(residual: np.ndarray) -> np.ndarray:
         # every step reads z and writes the other array, which then becomes z
-        z = folding[0].fold(residual[inner], np.empty(shape)) if folding else np.array(residual[inner])
-        w = np.empty(shape)
-        for ax in folding[1:]:
-            z, w = ax.fold(z, w), z
+        z, w = np.array(residual[inner]), np.empty(shape)
         for ax in axes:
             z, w = ax.transform(z, w), z
         z *= inv
         for ax in axes:
             z, w = ax.transform(z, w, inverse=True), z
-        for ax in folding[:-1]:
-            z, w = ax.fold(z, w, inverse=True), z
         out = np.zeros(grid.shape)
-        core = out[inner]
-        if folding:
-            folding[-1].fold(z, core, inverse=True)
-        else:
-            core[...] = z
+        out[inner] = z
         return out
 
     correction = None if fixed is None and grid.outside_cells is None else _capacitance(grid, axes, inner)
@@ -276,7 +208,7 @@ def _eigen_parts(axes: list[tuple[float, int, np.ndarray]]) -> tuple[np.ndarray,
     return stiff, mass
 
 
-def _capacitance(grid: Grid, axes: list[_FoldedSine], inner: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
+def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
     """Capacitance correction that makes the box inverse exact on a masked grid.
 
     The masked Hessian ``A`` (free nodes) and the box Hessian ``B``
@@ -298,10 +230,13 @@ def _capacitance(grid: Grid, axes: list[_FoldedSine], inner: tuple) -> Callable[
     the cell Hessians, weighted by the mode's vertical eigenvalues.  Each
     ``E_k (I + G_k E_k)^-1`` is formed once, mode by mode.  Along every
     unhalved horizontal axis about whose mid-plane the grid is symmetric,
-    ``Gamma`` is folded into mirror sums and differences, as
-    :class:`_FoldedSine` folds an axis, and each parity class gets its
-    own matrices: so the correction, like the box inverse, commutes with
-    every flip bit for bit.
+    ``Gamma`` is folded into mirror sums and differences: the sums couple
+    only to the odd modes of that axis and the differences only to the
+    even ones, so ``G_k`` and ``E_k`` split into one block per parity
+    class.  That is for the set-up's sake: with ``f`` such axes, the
+    dense solves of ``2^f`` blocks of about ``m / 2^f`` rows cost about
+    ``4^f`` times less than one of ``m`` rows, and each block's ``G_k``
+    sums over only its parity's modes.
 
     Returns ``correct(z)``, the array ``U E y`` for a box solution ``z``
     on the grid, or ``None`` when ``Gamma`` is empty.
@@ -384,8 +319,8 @@ def _capacitance(grid: Grid, axes: list[_FoldedSine], inner: tuple) -> Callable[
 
     # vertical modes of the Gamma values, in the box inverse's storage order
     vshape = tuple(ax.shape3[1] for ax in axes[r:])
-    vaxes = [_FoldedSine((m,) + vshape, 1 + b, ax.half) for b, ax in enumerate(axes[r:])]
-    v_stiff, v_mass = _eigen_parts([(grid.h[r + b], ax.cells, _modes(ax)) for b, ax in enumerate(vaxes)])
+    vaxes = [_SineAxis((m,) + vshape, 1 + b, ax.half) for b, ax in enumerate(axes[r:])]
+    v_stiff, v_mass = _eigen_parts([(grid.h[r + b], ax.cells, ax.modes) for b, ax in enumerate(vaxes)])
     mid_weight = np.ones(vshape)
     for b, ax in enumerate(vaxes):
         if ax.half:
@@ -400,7 +335,7 @@ def _capacitance(grid: Grid, axes: list[_FoldedSine], inner: tuple) -> Callable[
         rows = slice(np.searchsorted(parity, p), np.searchsorted(parity, p, side="right"))
         modes, sines = [], []
         for a, ax in enumerate(axes[:r]):
-            cells, j, k = ax.cells, coords[rows, a], _modes(ax)
+            cells, j, k = ax.cells, coords[rows, a], ax.modes
             if ax.half:  # node i of the upper half is node N/2 + i of the axis
                 j = j + cells // 2
             elif a in folded:  # odd modes are even about the mid-plane, even modes odd
@@ -439,9 +374,6 @@ def _capacitance(grid: Grid, axes: list[_FoldedSine], inner: tuple) -> Callable[
         y = fold(z[gather] * mid_weight)
         w = np.empty(y.shape)
         for ax in vaxes:
-            if not ax.half:
-                y, w = ax.fold(y, w), y
-        for ax in vaxes:
             y, w = ax.transform(y, w), y
         flat, out = y.reshape(m, -1), w.reshape(m, -1)
         for rows, solves in blocks:
@@ -449,9 +381,6 @@ def _capacitance(grid: Grid, axes: list[_FoldedSine], inner: tuple) -> Callable[
         y, w = w, y
         for ax in vaxes:
             y, w = ax.transform(y, w, inverse=True), y
-        for ax in vaxes:
-            if not ax.half:
-                y, w = ax.fold(y, w, inverse=True), y
         c = np.zeros(grid.shape)
         c[gather] = unfold(y * mid_weight)
         return c

@@ -62,6 +62,13 @@ def test_dry_run_honours_node_budget(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_node_budget_names_the_exact_count(tmp_path, capsys):
+    # 17^40 * 9 nodes is far past 2^63, where an int64 product wraps around
+    cfg = _write_config(tmp_path / "c.json", domain={"r": 40})
+    assert main(["--dry-run", "sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"grid would have {17**40 * 9} nodes" in capsys.readouterr().err
+
+
 def test_non_integer_thread_budget_is_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ELONGATE_THREADS", "junk")
     cfg = _write_config(tmp_path / "c.json")

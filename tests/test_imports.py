@@ -178,3 +178,30 @@ def test_benchmark_attributes_exist():
     for name in ("resolve_config", "run_sweep", "fit_rate", "convergence_verdicts", "records_to_csv",
                  "atomic_write_text"):
         assert callable(getattr(elongate.cli, name, None)), name
+
+
+def test_benchmark_solves_halve_every_axis():
+    # every solve of every benchmark workload, the limit's too, is halved
+    # along every axis, so the benchmark never times an unhalved sine
+    # transform; when a change keeps an axis whole here, its cost shows in
+    # the benchmark and this test names the workload
+    import elongate.cli
+    from elongate import DomainSpec, build_grid, build_vertical_grid
+    from elongate.field import load_cell_values
+    from elongate.solver import _mirror_axes
+
+    child = _load_bench_child()
+    for name, workload in child.WORKLOADS.items():
+        if workload["kind"] == "library":
+            config = child.sweep_config(workload["config"])
+        else:
+            config = elongate.cli._build_objects(elongate.cli.resolve_config(workload["config"]))
+        vgrid = build_vertical_grid(config.vertical_halfwidths, config.target_h)
+        grids = [(vgrid, config.density.vertical_restriction())] + [
+            (build_grid(DomainSpec(config.cross_section, ell, config.vertical_halfwidths), config.target_h),
+             config.density)
+            for ell in config.ells
+        ]
+        for grid, density in grids:
+            axes = _mirror_axes(grid, density, load_cell_values(grid, config.load))
+            assert axes == tuple(range(grid.n)), (name, grid.cell_shape)

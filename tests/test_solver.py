@@ -27,7 +27,7 @@ from elongate import (
 )
 from elongate.field import _assemble_gradient_arr, _cell_gradients_arr, _load_vector, load_cell_values
 from elongate.density import EnergyDensity
-from elongate.precond import _DENSE_MAX, _FoldedSine, _box_inverse
+from elongate.precond import _DENSE_MAX, _SineAxis, _box_inverse
 from elongate.solver import _halve
 
 CS1 = CrossSection("box", 1)
@@ -306,25 +306,27 @@ def test_ball_inverse_inverts_quadratic_hessian(monkeypatch, r, ell, halfwidth, 
 
 @pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 200])
 def test_folded_sine_round_trip(cells):
-    # both paths, dense (at most _DENSE_MAX interior nodes) and rfft, with the
-    # axis in the middle, first and last (flat) position: fold, transform,
-    # transform back and unfold is the identity times the scale
+    # the sine transform of a whole axis on both paths, dense (at most
+    # _DENSE_MAX interior nodes) and rfft, with the axis in the middle,
+    # first and last (flat) position: it gives the modes 1 .. N-1 in natural
+    # order, and transforming back is the identity times the scale
     x = np.random.default_rng(cells).standard_normal((3, cells - 1, 4))
+    j = np.arange(1, cells)
+    q = np.sqrt(2.0 / cells) * np.sin(np.pi / cells * j[:, None] * j)
     for axis, values in ((1, x), (0, x[0]), (1, x[:, :, 0])):
-        ax = _FoldedSine(values.shape, axis)
+        ax = _SineAxis(values.shape, axis)
         assert ax.cells == cells and (ax.products is not None) == (cells - 1 <= _DENSE_MAX)
+        assert np.array_equal(ax.modes, j)
         a, b = np.empty(values.shape), np.empty(values.shape)
-        modes = ax.transform(ax.fold(values, a), b)
-        back = ax.fold(ax.transform(modes, a, inverse=True), b, inverse=True) / ax.scale
+        modes = ax.transform(values, a)
+        want = np.sqrt(ax.scale) * np.moveaxis(np.tensordot(q, values, axes=(1, axis)), 0, axis)
+        assert np.max(np.abs(modes - want)) <= 1e-13 * np.max(np.abs(want))
+        back = ax.transform(modes, b, inverse=True) / ax.scale
         assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
     if ax.products is not None and cells & (cells - 1) == 0:
-        # the orthonormal matrix squares to the identity to an ulp; its rows
-        # come out odd modes first
+        # the orthonormal matrix squares to the identity to an ulp
         eye = np.eye(cells - 1)
-        ax = _FoldedSine(eye.shape, 0)
-        q = np.empty_like(eye)
-        modes = ax.transform(ax.fold(eye, np.empty_like(eye)), np.empty_like(eye))
-        q[np.r_[0 : cells - 1 : 2, 1 : cells - 1 : 2]] = modes
+        q = _SineAxis(eye.shape, 0).transform(eye, np.empty_like(eye))
         assert np.max(np.abs(q @ q - eye)) <= np.finfo(float).eps
 
 
@@ -332,8 +334,8 @@ def test_folded_sine_round_trip(cells):
 def test_folded_sine_half_axis_is_the_odd_part(cells):
     # a half axis holds the upper half of a symmetric axis, nodes N/2 ..
     # N-1; mirrored with its mid-plane node doubled (as the solver's
-    # residual is), the folded transform has no even modes and its odd
-    # modes are the half axis's transform of twice the upper half; from
+    # residual is), the whole axis's transform has no even modes and its
+    # odd modes are the half axis's transform of twice the upper half; from
     # those odd modes the inverse gives back the upper half on both
     for axis, shape in ((1, (3, cells // 2, 4)), (0, (cells // 2, 4)), (1, (3, cells // 2))):
         def along(sl):
@@ -342,16 +344,17 @@ def test_folded_sine_half_axis_is_the_odd_part(cells):
         upper = np.random.default_rng(cells).standard_normal(shape)
         x = np.concatenate((np.flip(upper[along(slice(1, None))], axis), upper), axis)
         x[along(cells // 2 - 1)] *= 2.0
-        ax, ax_half = _FoldedSine(x.shape, axis), _FoldedSine(shape, axis, half=True)
+        ax, ax_half = _SineAxis(x.shape, axis), _SineAxis(shape, axis, half=True)
         assert ax_half.cells == cells and ax_half.scale == ax.scale
         assert (ax_half.products is not None) == (cells - 1 <= _DENSE_MAX)
-        modes = ax.transform(ax.fold(x, np.empty(x.shape)), np.empty(x.shape))
-        odd, even = modes[along(slice(0, cells // 2))], modes[along(slice(cells // 2, None))]
+        assert np.array_equal(ax_half.modes, ax.modes[0::2])
+        modes = ax.transform(x, np.empty(x.shape))
+        odd, even = modes[along(slice(0, None, 2))], modes[along(slice(1, None, 2))]
         assert np.max(np.abs(even), initial=0.0) <= 1e-13 * np.max(np.abs(odd))
         got = ax_half.transform(2.0 * upper, np.empty(shape))
         assert np.max(np.abs(got - odd)) <= 1e-13 * np.max(np.abs(odd))
-        modes[along(slice(cells // 2, None))] = 0.0
-        back = ax.fold(ax.transform(modes, np.empty(x.shape), inverse=True), np.empty(x.shape), inverse=True)
+        modes[along(slice(1, None, 2))] = 0.0
+        back = ax.transform(modes, np.empty(x.shape), inverse=True)
         got = ax_half.transform(odd, np.empty(shape), inverse=True)
         upper_back = back[along(slice(cells // 2 - 1, None))]
         assert np.max(np.abs(got - upper_back)) <= 1e-13 * np.max(np.abs(got))
@@ -359,29 +362,38 @@ def test_folded_sine_half_axis_is_the_odd_part(cells):
 
 @pytest.mark.parametrize("kind", ["ball", "long-box"])
 def test_kernels_commute_with_mirror_flips(kind):
-    # the box inverse, the cell gradients and the gradient assembly commute
-    # with the flip of every axis bit for bit (==, not allclose): on the
-    # ball grid every axis takes the dense sine transform, on the box grid
-    # the horizontal axis takes the rfft path
+    # the cell gradients and the gradient assembly commute with the flip of
+    # every axis bit for bit (==, not allclose), on a masked ball grid and
+    # on a box grid with a long horizontal axis
     if kind == "ball":
         grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), 1 / 8)
     else:
         grid = _long_axis_grid("mixed")
-    apply_inverse = _box_inverse(grid)
     load_vec = _load_vector(grid, load_cell_values(grid, LOAD2))
     densities = [make_density(k, p, r=grid.r, n=grid.n) for k, p in (("quadratic", None), ("p-dirichlet", 4.0))]
     x = np.random.default_rng(5).standard_normal(grid.shape)
     x[grid.dirichlet] = 0.0
-    z, G = apply_inverse(x), _cell_gradients_arr(grid, x)
+    G = _cell_gradients_arr(grid, x)
     for a in range(grid.n):
         xf = np.flip(x, a)
-        assert np.array_equal(apply_inverse(xf), np.flip(z, a))
         Gf = np.flip(G, a).copy()
         Gf[..., a] *= -1.0
         assert np.array_equal(_cell_gradients_arr(grid, xf), Gf)
         for d in densities:
             g = _assemble_gradient_arr(grid, G, d, load_vec)
             assert np.array_equal(_assemble_gradient_arr(grid, Gf, d, load_vec), np.flip(g, a))
+
+
+def test_unhalved_axis_solve_is_symmetric_to_round_off():
+    # an odd vertical cell count keeps that axis whole: the solve halves the
+    # horizontal axis alone, so the field is exactly symmetric along it, and
+    # symmetric along the whole axis up to round-off
+    grid = build_grid(DomainSpec(CS1, 2.0, (0.9,)), 1 / 8)
+    assert grid.cell_shape == (32, 15)
+    u, rep = minimize(grid, make_density("p-dirichlet", 4.0, r=1, n=2), LOAD2)
+    assert rep.converged and rep.mirror_axes == [0]
+    assert np.array_equal(u.values, np.flip(u.values, 0))
+    assert np.max(np.abs(u.values - np.flip(u.values, 1))) <= 1e-12 * np.max(np.abs(u.values))
 
 
 #: Pairs of grids of one shape: different vertical spacings (1/8 and
