@@ -106,6 +106,11 @@ _KEYS: dict[tuple[str, str], tuple[Any, Callable[[Any], bool], str]] = {
 
 def resolve_config(raw: dict) -> dict:
     """Fill defaults and validate; the result rebuilds the run exactly."""
+    return _resolve(raw)[0]
+
+
+def _resolve(raw: dict) -> tuple[dict, SweepConfig]:
+    """:func:`resolve_config` and its library objects, built once for their range checks."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     rc: dict[str, dict[str, Any]] = {}
@@ -131,10 +136,9 @@ def resolve_config(raw: dict) -> dict:
     if "n" in dom and dom.pop("n") != dom["r"] + len(dom["vertical_halfwidths"]):
         raise ConfigError("domain.n inconsistent with r + len(vertical_halfwidths)")
     try:
-        _build_objects(rc)
+        return rc, _build_objects(rc)
     except ValueError as exc:  # the library's range checks
         raise ConfigError(str(exc)) from exc
-    return rc
 
 
 def _build_objects(rc: dict) -> SweepConfig:
@@ -159,7 +163,7 @@ def _build_objects(rc: dict) -> SweepConfig:
     )
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[dict, SweepConfig]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -167,7 +171,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return resolve_config(raw)
+    return _resolve(raw)
 
 
 def _emit_json(path: str, payload) -> None:
@@ -326,8 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "audit-density":
             return cmd_audit_density(args)
-        rc = _load_config(args.config)
-        sweep = _build_objects(rc)
+        rc, sweep = _load_config(args.config)
         if args.command == "profile" and sweep.ells[-1] < 1:  # its levels t are 1 .. floor(ell)
             raise ConfigError(f"profile needs domain.ell_list to reach 1, got {rc['domain']['ell_list']}")
         if args.dry_run:

@@ -3,17 +3,16 @@
 With one centroid quadrature point the Hessian of ``|grad u|^2 / 2`` on
 a grid's bounding box is diagonalized by sine vectors (fast
 diagonalization, Lynch, Rice & Thomas 1964), so its inverse is applied
-by one sine transform along every axis.  On a grid with masked cells (a
+by one sine transform along every axis: a precomputed dense sine matrix
+on short axes, ``rfft`` on long ones.  On a grid with masked cells (a
 ball cross-section) a capacitance-matrix correction, one small dense
 matrix per vertical sine mode, makes the inverse exact on the masked
-grid too.  Short axes transform with a precomputed dense sine matrix,
-long ones with ``rfft``.  A mirror-symmetric problem comes halved along
+grid too; it is built from a closed-form 1-D Green's function and split
+by the grid's symmetries.  A mirror-symmetric problem comes halved along
 its symmetric axes (:func:`elongate.solver._halve`), and a halved axis
 transforms to its odd modes alone; halving is what keeps a symmetric
-solution exactly symmetric.  An axis that is not halved is transformed
-whole, and symmetry along it holds to round-off.  Indices, view shapes
-and matrices are set up once per solve, so an application does only the
-arithmetic.
+solution exactly symmetric.  Everything but the arithmetic is set up
+once per solve.
 """
 
 from __future__ import annotations
@@ -208,35 +207,84 @@ def _eigen_parts(axes: list[tuple[float, int, np.ndarray]]) -> tuple[np.ndarray,
     return stiff, mass
 
 
+def _green_sums(cells: int, half: bool, lo: np.ndarray, hi: np.ndarray, x: np.ndarray, weights: np.ndarray,
+                cols: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sum_k weights[i, k] weights[j, k] g_k(x_i, x_j)``, shape ``(..., len(x), len(cols))``, into ``out``.
+
+    ``g_k(a, b) = sum_t s_t(a) s_t(b) / (A + B cos th_t)`` over the sine
+    modes of an axis (odd ones on a ``half`` axis), with ``lo = A + B >
+    0`` and ``hi = A - B > 0`` of shape ``(..., K)``, is the Green's
+    function of ``tridiag(B/2, A, B/2)``: ``phi(min(a, b)) psi(max(a, b))
+    / C``, ``cosh mu = A / |B|``, ``phi = sinh(mu a)`` (``cosh`` on a half
+    axis), ``psi = sinh(mu (L - b))``, times ``(-1)^(a + b)`` if ``B > 0``;
+    positions ``x`` ascend (``x[cols]`` too) from the axis's first node,
+    ``L`` to its end.  Factors are scaled about the centres of blocks of
+    positions (one block unless ``mu L > 300``) so that none overflows;
+    blocks ``exp(-400)`` apart are dropped, and ``mu`` is capped where
+    ``|B| / A < 1e-16`` (``g`` is then diagonal to round-off).
+    """
+    span = cells // 2 if half else cells
+    t = np.minimum(np.sqrt(np.minimum(lo, hi) / np.maximum(lo, hi)), 1.0 - 2.0**-53)
+    mu = 2.0 * np.arctanh(t)[..., None, :]  # tanh(mu / 2) = t, accurate for small mu too
+    width = max(1, int(300.0 / mu.max()))
+    pos = np.arange(span + 1)[:, None]
+    mx, scale = -2.0 * mu * pos, np.exp(mu * (pos % width - 0.5 * width))
+    phi = (1.0 + np.exp(mx) if half else -np.expm1(mx)) * scale
+    ends = 2.0 + 2.0 * np.exp(-2.0 * mu * span) if half else -np.expm1(-2.0 * mu * span)
+    psi = np.expm1(-2.0 * mu * (span - pos)) / (scale * (-ends * np.sqrt(lo * hi)[..., None, :]))
+    flip = (lo > hi)[..., None, :] & (pos % 2 == 1)
+    for f in (phi, psi):
+        np.negative(f, out=f, where=flip)
+    (p, q), xc = (f[..., x, :] for f in (phi, psi)), x[cols]  # (..., len(x), K)
+    pc, qc = (f.mT[..., xc] for f in (phi, psi))  # (..., K, len(cols))
+    for f, w in ((p, weights), (q, weights), (pc, weights[cols].T), (qc, weights[cols].T)):
+        f *= w
+    edges = np.arange(0, span + width, width)
+    row_at, col_at = np.searchsorted(x, edges), np.searchsorted(xc, edges)
+    out = np.empty(lo.shape[:-1] + (len(x), len(cols))) if out is None else out
+    if len(edges) > 2:
+        out[...] = 0.0
+    for bi, bj in itertools.product(range(len(edges) - 1), repeat=2):
+        i, j = slice(row_at[bi], row_at[bi + 1]), slice(col_at[bj], col_at[bj + 1])
+        gap = mu * (width * abs(bi - bj))
+        if gap.min() > 400.0 or i.start == i.stop or j.start == j.stop:
+            continue
+        f = np.where(gap > 400.0, 0.0, np.exp(-gap))
+        pi, qi = (p[..., i, :], q[..., i, :]) if bi == bj else (p[..., i, :] * f, q[..., i, :] * f)
+        if bi <= bj:  # P Q^T where x_i <= x_j, every pair when bi < bj
+            np.matmul(pi, qc[..., j], out=out[..., i, j])
+        if bi >= bj:
+            np.copyto(out[..., i, j], qi @ pc[..., j], where=x[i, None] > xc[j])
+    return out
+
+
 def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[np.ndarray], np.ndarray] | None:
     """Capacitance correction that makes the box inverse exact on a masked grid.
 
     The masked Hessian ``A`` (free nodes) and the box Hessian ``B``
-    (interior nodes) differ only in the rows of ``Gamma``: free nodes of
-    a horizontal cell that is masked or has a fixed node inside the box,
-    and those fixed nodes.  With ``A~ = A`` on the free nodes and ``B`` on
-    the fixed ones, uncoupled, ``A~ = B + U E U^T`` where ``U`` injects
-    ``Gamma`` and ``E`` is small, and (Buzbee, Dorr, George & Golub 1971)
-    ``A~^-1 b = z - B^-1 U E y`` with ``z = B^-1 b`` and ``(I + G E) y =
-    U^T z``, ``G = U^T B^-1 U``.  A fixed node's row of ``A~`` is ``B``'s
-    own, so ``b = 0`` there gives ``0`` there.
+    (interior nodes) differ only in the rows of ``Gamma``: free nodes of a
+    horizontal cell that is masked or has a fixed node inside the box, and
+    those fixed nodes.  With ``A~ = A`` on the free nodes and ``B`` on the
+    fixed ones, uncoupled, ``A~ = B + U E U^T`` (``U`` injects ``Gamma``),
+    and (Buzbee, Dorr, George & Golub 1971) ``A~^-1 b = z - B^-1 U E y``
+    with ``z = B^-1 b``, ``(I + G E) y = U^T z`` and ``G = U^T B^-1 U``;
+    ``b = 0`` at a fixed node gives ``0`` there.  The vertical sine modes
+    (odd ones of a halved axis, weighted by 1/2 on its mid-plane) split
+    ``G`` and ``E`` into one ``m x m`` pair per mode: ``G_k = c V diag(1 /
+    lam_k) V^T`` from the box eigenvalues and the horizontal sine basis
+    ``V`` at ``Gamma`` (``c = 2`` per halved horizontal axis), and ``E_k``
+    from the cell Hessians, weighted by the mode's vertical eigenvalues.
+    Per mode of the other horizontal axes, the sum over the first axis's
+    modes is a 1-D Green's function (:func:`_green_sums`).
 
-    The mask and the fixed nodes depend on the horizontal axes only, so
-    the vertical sine modes (odd modes of a halved axis, weighted by 1/2
-    on its mid-plane as ``_box_inverse`` explains) split ``G`` and ``E``
-    into one ``m x m`` pair per mode: ``G_k = c V diag(1 / lam_k) V^T``
-    from the box eigenvalues ``lam_k`` and the horizontal sine basis ``V``
-    at ``Gamma`` (``c = 2`` per halved horizontal axis), and ``E_k`` from
-    the cell Hessians, weighted by the mode's vertical eigenvalues.  Each
-    ``E_k (I + G_k E_k)^-1`` is formed once, mode by mode.  Along every
-    unhalved horizontal axis about whose mid-plane the grid is symmetric,
-    ``Gamma`` is folded into mirror sums and differences: the sums couple
-    only to the odd modes of that axis and the differences only to the
-    even ones, so ``G_k`` and ``E_k`` split into one block per parity
-    class.  That is for the set-up's sake: with ``f`` such axes, the
-    dense solves of ``2^f`` blocks of about ``m / 2^f`` rows cost about
-    ``4^f`` times less than one of ``m`` rows, and each block's ``G_k``
-    sums over only its parity's modes.
+    ``Gamma`` is folded by the maps that leave the problem unchanged: the
+    mirror of each unhalved axis about whose mid-plane the grid is
+    symmetric, and the swap of the first two axes (:func:`_swaps`).  A map
+    pairs entries into sums and differences, and ``G_k`` and ``E_k``
+    (symmetric, commuting with the maps) split into one block per parity
+    class, whose rows are the folded columns at each entry's
+    representative node.  ``(I + E_k G_k)^-1 E_k`` is one batched solve
+    per class: for ``f`` maps, ``2^f`` solves of about ``m / 2^f`` rows.
 
     Returns ``correct(z)``, the array ``U E y`` for a box solution ``z``
     on the grid, or ``None`` when ``Gamma`` is empty.
@@ -248,14 +296,13 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     status = np.full(hshape, 2, dtype=np.int8)
     status[inner[:r]] = grid.dirichlet[inner].all(axis=vert)
     outside = np.zeros(hcells, bool) if grid.outside_cells is None else grid.outside_cells.all(axis=vert)
-    offsets = list(itertools.product((0, 1), repeat=r))
+    offsets = np.array(list(itertools.product((0, 1), repeat=r)))
     corners = [tuple(slice(o, o + c) for o, c in zip(off, hcells)) for off in offsets]
-    kinds = [status[c] for c in corners]
-    cut = outside | np.logical_or.reduce([s == 1 for s in kinds])
-    has_free = np.logical_or.reduce([s == 0 for s in kinds])
-    gamma = np.zeros(hshape, bool)
-    for c, s in zip(corners, kinds):
-        gamma[c] |= cut & ((s == 0) | ((s == 1) & has_free))
+    kinds = np.array([status[c] for c in corners])
+    free, fixed = kinds == 0, kinds == 1
+    gamma, cut = np.zeros(hshape, bool), outside | fixed.any(axis=0)
+    for c, s0, s1 in zip(corners, free, fixed):
+        gamma[c] |= cut & (s0 | s1 & free.any(axis=0))
     nodes = np.nonzero(gamma)
     m = len(nodes[0])
     if m == 0:
@@ -265,57 +312,53 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
 
     # E: minus the cell Hessians of free pairs in masked cells and of
     # free-fixed pairs in any cell, split into the horizontal stiffness
-    # (vertical mass) and the horizontal mass (vertical stiffness) part
+    # (vertical mass) and mass (vertical stiffness) parts, E[a, b] at (a,
+    # part, b) of an (m, 2, m) array
     vol = grid.cell_volume
-    e_stiff, e_mass = np.zeros((m, m)), np.zeros((m, m))
-    for o1, c1, s1 in zip(offsets, corners, kinds):
-        for o2, c2, s2 in zip(offsets, corners, kinds):
-            pairs = ((s1 == 0) & (s2 == 0) & outside) | ((s1 == 0) & (s2 == 1)) | ((s1 == 1) & (s2 == 0))
-            rows, cols = index[c1][pairs], index[c2][pairs]
-            stiff = sum((1.0 if o1[a] == o2[a] else -1.0) / grid.h[a] ** 2 for a in range(r))
-            np.add.at(e_stiff, (rows, cols), -vol * 0.25 ** (r - 1) * stiff)
-            np.add.at(e_mass, (rows, cols), -vol * 0.25**r)
+    free, fixed, at = free[:, None], fixed[:, None], np.array([index[c] for c in corners])
+    pairs = free & free.swapaxes(0, 1) & outside | free & fixed.swapaxes(0, 1) | fixed & free.swapaxes(0, 1)
+    o1, o2, *_ = np.nonzero(pairs)
+    stiff = ((1.0 - 2.0 * (offsets[o1] != offsets[o2])) / np.array(grid.h[:r]) ** 2).sum(-1)
+    flat = (at[:, None] * 2 * m + at)[pairs]
+    e_parts = np.bincount(np.concatenate((flat, flat + m)), np.concatenate(
+        (-vol * 0.25 ** (r - 1) * stiff, np.full(len(flat), -vol * 0.25**r))), 2 * m * m).reshape(m, 2, m)
 
-    # fold Gamma along the symmetric unhalved horizontal axes; entries keep
-    # a representative node (the lower of a pair), a parity class (bit a
-    # set: odd about axis a's mid-plane) and a weight (2 per paired level)
-    coords, parity, weight = np.array(nodes).T, np.zeros(m, int), np.ones(m)
-    folded, levels = [], []
-    for a in range(r):
-        if axes[a].half or not all(np.array_equal(v, np.flip(v, a)) for v in (status, outside)):
-            continue
-        cells = hcells[a]
+    # the maps (bit, axes, signs, shift) send node c to c[axes] * signs +
+    # shift.  A level lists the sums, middle entries and differences; an
+    # entry keeps a representative node, a parity class (bit set: odd
+    # under that map) and a weight (2 per pair)
+    eye = np.arange(r)
+    maps = [(a, eye, np.where(eye == a, -1, 1), np.where(eye == a, hcells[a], 0)) for a in range(r)
+            if not axes[a].half and all(np.array_equal(v, np.flip(v, a)) for v in (status, outside))]
+    maps += [(r, np.r_[1, 0, eye[2:]], 1, 0)] if _swaps(grid, tuple(a for a in eye if axes[a].half)) else []
+    coords, parity, weight, rep = np.array(nodes).T, np.zeros(m, int), np.ones(m), np.arange(m)
+    levels = []
+    for bit, image, signs, shift in maps:
         keys = parity * gamma.size + np.ravel_multi_index(coords.T, hshape)
+        mapped = parity * gamma.size + np.ravel_multi_index((coords[:, image] * signs + shift).T, hshape)
         order = np.argsort(keys)
-        mirror = coords.copy()
-        mirror[:, a] = cells - coords[:, a]
-        partner = order[np.searchsorted(keys[order], parity * gamma.size + np.ravel_multi_index(mirror.T, hshape))]
-        lo, mid = np.flatnonzero(2 * coords[:, a] < cells), np.flatnonzero(2 * coords[:, a] == cells)
+        lo, mid = np.flatnonzero(keys < mapped), np.flatnonzero(keys == mapped)
+        levels.append((lo, order[np.searchsorted(keys[order], mapped[lo])], mid))
         source = np.concatenate((lo, mid, lo))
-        new_parity = np.concatenate((parity[lo], parity[mid], parity[lo] | 1 << a))
-        perm = np.argsort(new_parity, kind="stable")  # classes contiguous
-        place = np.empty(m, int)
-        place[perm] = np.arange(m)
-        folded.append(a)
-        levels.append((lo, partner[lo], mid, *np.split(place, [len(lo), len(lo) + len(mid)])))
-        coords, parity = coords[source][perm], new_parity[perm]
-        weight = np.concatenate((2.0 * weight[lo], weight[mid], 2.0 * weight[lo]))[perm]
+        parity = np.concatenate((parity[lo], parity[mid], parity[lo] | 1 << bit))
+        coords, rep = coords[source], rep[source]
+        weight = np.concatenate((2.0 * weight[lo], weight[mid], 2.0 * weight[lo]))
 
-    def fold(x: np.ndarray) -> np.ndarray:
-        for lo, hi, mid, sums, middle, diffs in levels:
-            y = np.empty_like(x)
-            y[sums], y[middle], y[diffs] = x[lo] + x[hi], x[mid], x[lo] - x[hi]
-            x = y
+    def fold(x: np.ndarray) -> np.ndarray:  # in place
+        for lo, hi, mid in levels:
+            s, t = len(lo), len(lo) + len(mid)
+            a, b, x[s:t] = x[lo], x[hi], x[mid]
+            np.add(a, b, out=x[:s])
+            np.subtract(a, b, out=x[t:])
         return x
 
     def unfold(y: np.ndarray) -> np.ndarray:  # the transpose of ``fold``
-        for lo, hi, mid, sums, middle, diffs in reversed(levels):
+        for lo, hi, mid in reversed(levels):
+            s, t = len(lo), len(lo) + len(mid)
             x = np.empty_like(y)
-            x[lo], x[hi], x[mid] = y[sums] + y[diffs], y[sums] - y[diffs], y[middle]
+            x[lo], x[hi], x[mid] = y[:s] + y[t:], y[:s] - y[t:], y[s:t]
             y = x
         return y
-
-    e_stiff, e_mass = (fold(fold(e).T) for e in (e_stiff, e_mass))
 
     # vertical modes of the Gamma values, in the box inverse's storage order
     vshape = tuple(ax.shape3[1] for ax in axes[r:])
@@ -330,42 +373,32 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     c_h = 2.0 ** sum(ax.half for ax in axes[:r])
     c_v = 2.0 ** sum(ax.half for ax in vaxes) / math.prod(ax.scale for ax in vaxes)
 
-    blocks = []
-    for p in dict.fromkeys(parity.tolist()):  # sorted; not np.unique, which imports numpy.ma
-        rows = slice(np.searchsorted(parity, p), np.searchsorted(parity, p, side="right"))
-        modes, sines = [], []
-        for a, ax in enumerate(axes[:r]):
-            cells, j, k = ax.cells, coords[rows, a], ax.modes
-            if ax.half:  # node i of the upper half is node N/2 + i of the axis
-                j = j + cells // 2
-            elif a in folded:  # odd modes are even about the mid-plane, even modes odd
-                k = k[k % 2 != (p >> a) & 1]
-            modes.append((grid.h[a], cells, k))
-            sines.append(_sines(cells, k, j[:, None]))
-        # G_k = c V diag(w_k) V^T with V[:, (k_0, k')] = sines[0][:, k_0] *
-        # rest[:, k'].  The sum over k_0 depends only on the first
-        # coordinates of a pair: t[k', i, j] over the distinct ones, then one
-        # product per group of rows sharing a first coordinate
-        rest = functools.reduce(lambda v, q: (v[:, :, None] * q[:, None, :]).reshape(len(v), -1), sines[1:],
-                                np.ones((len(sines[0]), 1)))
-        x = coords[rows, 0]
-        distinct = np.flatnonzero(np.bincount(x))
-        at = np.searchsorted(distinct, x)
-        groups = [np.flatnonzero(at == i) for i in range(len(distinct))]
-        first = sines[0][[group[0] for group in groups]]
-        h_stiff, h_mass = (part.reshape(len(modes[0][2]), -1) for part in _eigen_parts(modes))
-        d = 1.0 / weight[rows]
-        es, em = e_stiff[rows, rows], e_mass[rows, rows]
-        eye = np.eye(len(d))
-        solves = np.empty((len(v_mass), len(d), len(d)))
-        for i, (vm, vs) in enumerate(zip(v_mass, v_stiff)):  # mode by mode
-            w = c_h / (vol * (h_stiff * vm + h_mass * vs))
-            t = (first * w.T[:, None, :]) @ first.T
-            g = np.empty((len(d), len(d)))
-            for i0, group in enumerate(groups):
-                g[group] = rest[group] @ (rest.T * t[:, i0, at])
-            e = vm * es + vs * em
-            solves[i] = np.linalg.solve(eye + e @ g, e) * (c_v * d[:, None] * d)
+    # per mode of the other horizontal axes (sines ``rest``, box
+    # eigenvalues s', c') the first axis's symbol is s' v_mass + c' v_stiff
+    # at th = 0 and 4 c' v_mass / h_0^2 at pi.  ``folded`` holds G_k for
+    # each vertical mode and E's two parts (axis 1) between the folded
+    # Gamma (axis 0) and the representatives (axis 2)
+    coords, rest = np.array(nodes).T, np.ones((m, 1))
+    for a, ax in enumerate(axes[1:r], 1):  # node i of the upper half is node N/2 + i of the axis
+        q = _sines(ax.cells, ax.modes, coords[:, a, None] + ax.half * ax.cells // 2)
+        rest = (rest[:, :, None] * q[:, None, :]).reshape(m, -1)
+    s_rest, c_rest = _eigen_parts([(grid.h[a], ax.cells, ax.modes) for a, ax in enumerate(axes[1:r], 1)])
+    reps, s = np.flatnonzero(np.bincount(rep, minlength=m)), vol / c_h
+    folded = np.empty((m, len(v_mass) + 2, len(reps)))
+    folded[:, -2:] = e_parts[:, :, reps]
+    _green_sums(axes[0].cells, axes[0].half, s * (v_mass[:, None] * s_rest + v_stiff[:, None] * c_rest),
+                s * 4.0 / grid.h[0] ** 2 * v_mass[:, None] * c_rest, coords[:, 0], rest, reps,
+                folded[:, :-2].transpose(1, 0, 2))
+    folded, modes, blocks = fold(folded), np.stack((v_mass, v_stiff), axis=1), []
+    for rows in (np.flatnonzero(parity == p) for p in dict.fromkeys(parity.tolist())):
+        block = folded[rows, :, np.searchsorted(reps, rep[rows])[:, None]].transpose(2, 0, 1)  # (part, row, col)
+        # E_k (I + G_k E_k)^-1 on the block; a fold is orthogonal, not
+        # orthonormal, hence the columns over their weights
+        e = (modes @ block[-2:].reshape(2, -1)).reshape(-1, len(rows), len(rows))
+        a = e @ block[:-2]
+        a.reshape(len(a), -1)[:, ::len(rows) + 1] += 1.0
+        solves = np.linalg.solve(a, e)
+        solves *= c_v / weight[rows]
         blocks.append((rows, solves))
 
     gather = tuple(nodes) + inner[r:]
@@ -386,3 +419,15 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
         return c
 
     return correct
+
+
+def _swaps(grid: Grid, halved: tuple[int, ...]) -> bool:
+    """Whether :func:`_capacitance` folds ``Gamma`` by the swap of the first two axes.
+
+    It does on a grid halved along both (neither then has a mirror fold,
+    whose classes the swap would mix) with the same cells and spacing on
+    both, whose fixed nodes and cell mask equal their transposes.
+    """
+    return (grid.r >= 2 and 0 in halved and 1 in halved and grid.shape[0] == grid.shape[1]
+            and grid.h[0] == grid.h[1]
+            and all(np.array_equal(v, np.swapaxes(v, 0, 1)) for v in (grid.dirichlet, grid.cell_mask)))

@@ -205,3 +205,24 @@ def test_benchmark_solves_halve_every_axis():
         for grid, density in grids:
             axes = _mirror_axes(grid, density, load_cell_values(grid, config.load))
             assert axes == tuple(range(grid.n)), (name, grid.cell_shape)
+
+
+def test_benchmark_ball_solves_take_the_swap_fold():
+    # every ball solve of the CLI workload is halved along both horizontal
+    # axes and folds its capacitance correction by their swap, which splits
+    # each dense solve into two of about half the rows; when a change loses
+    # the fold, the set-up cost shows in the benchmark and this test names
+    # the grid
+    import elongate.cli
+    from elongate import DomainSpec, build_grid
+    from elongate.field import load_cell_values
+    from elongate.precond import _swaps
+    from elongate.solver import _halve, _mirror_axes
+
+    workload = _load_bench_child().WORKLOADS["cli-ball"]
+    config = elongate.cli._build_objects(elongate.cli.resolve_config(workload["config"]))
+    assert config.cross_section.shape == "ball" and config.cross_section.r == 2
+    for ell in config.ells:
+        grid = build_grid(DomainSpec(config.cross_section, ell, config.vertical_halfwidths), config.target_h)
+        axes = _mirror_axes(grid, config.density, load_cell_values(grid, config.load))
+        assert _swaps(_halve(grid, axes), axes), grid.cell_shape

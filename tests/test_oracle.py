@@ -142,3 +142,27 @@ def test_local_decay_rate_is_the_discrete_rate(sweeps, h):
     assert len(rates) == 7
     assert max(abs(rate - mu) for rate in rates) <= 2e-6, (mu, rates)
     assert min(abs(rate - math.pi / 2) for rate in rates) > 2e-6
+
+
+def test_local_decay_rate_at_unequal_spacings():
+    # ell off the lattice of the vertical spacing: target 0.13 splits the
+    # vertical axis into 16 cells (h_y = 1/8) and each 2 ell = 0.13 N into N
+    # cells (h_x = 0.13), so the discrete rate solves tanh(mu h_x / 2) =
+    # (h_x / h_y) tan(pi h_y / 4).  Measured: the local rates differ from it
+    # by at most 7e-8, and from the rates at h_x = h_y = 1/8 or 0.13 by 4.2e-4
+    ells = tuple(0.065 * n for n in range(80, 145, 16))
+    cfg = SweepConfig(
+        cross_section=CrossSection("box", 1), vertical_halfwidths=(1.0,), ells=ells, target_h=0.13,
+        density=make_density("quadratic", r=1, n=2), load=Load.constant(2.0),
+        options=SolveOptions(grad_tol=1e-10), ell0=ELL0, warm_start=False,
+    )
+    records = run_sweep(cfg).records
+    h_x, h_y = records[0].h_horiz, records[0].h_vert
+    assert all(r.converged and r.h_horiz == pytest.approx(0.13, rel=1e-12) for r in records)
+    assert h_y == 0.125
+    mu = discrete_decay_rate(h_x, h_y)
+    rates = [math.log(a.err_grad_p / b.err_grad_p) / (2 * (b.ell - a.ell)) for a, b in zip(records, records[1:])]
+    assert len(rates) == 4
+    assert max(abs(rate - mu) for rate in rates) <= 2e-6, (mu, rates)
+    for other in (discrete_decay_rate(h_y, h_y), discrete_decay_rate(h_x, h_x)):
+        assert min(abs(rate - other) for rate in rates) > 1e-4

@@ -27,7 +27,7 @@ from elongate import (
 )
 from elongate.field import _assemble_gradient_arr, _cell_gradients_arr, _load_vector, load_cell_values
 from elongate.density import EnergyDensity
-from elongate.precond import _DENSE_MAX, _SineAxis, _box_inverse
+from elongate.precond import _DENSE_MAX, _SineAxis, _box_inverse, _green_sums, _sines, _swaps
 from elongate.solver import _halve
 
 CS1 = CrossSection("box", 1)
@@ -304,8 +304,54 @@ def test_ball_inverse_inverts_quadratic_hessian(monkeypatch, r, ell, halfwidth, 
         assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
 
 
+def test_ball_inverse_with_one_halved_horizontal_axis():
+    # a disc halved along the first axis alone is not symmetric under the
+    # swap of the horizontal axes, so the correction takes no swap fold; it
+    # is exact all the same, and halved along both axes it takes the fold
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), 1 / 8)
+    for halved, swaps in (((0,), False), ((0, 2), False), ((0, 1), True), ((0, 1, 2), True)):
+        sub = _halve(grid, halved)
+        assert _swaps(sub, halved) == swaps
+        x = np.random.default_rng(len(halved)).standard_normal(sub.shape)
+        x[sub.dirichlet] = 0.0
+        z = _box_inverse(sub, halved)(_hessian_product(sub, x))
+        assert np.max(np.abs(z - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def _green_by_sine_sums(cells, half, lo, hi, x):
+    """``sum_t s_t(a) s_t(b) / (A + B cos th_t)`` over the axis's modes, by brute force."""
+    t = np.arange(1, cells, 1 + half)
+    s = _sines(cells, t[:, None], x + (cells // 2 if half else 0))
+    symbol = 0.5 * (lo + hi)[:, None] + 0.5 * (lo - hi)[:, None] * np.cos(np.pi / cells * t)
+    return np.einsum("ta,tb,kt->kab", s, s, 1.0 / symbol)
+
+
+@pytest.mark.parametrize("cells,half", [(32, False), (64, True), (256, True)])
+def test_green_sums_match_the_sine_sums(cells, half):
+    # the closed-form semiseparable Green's function equals the sum over the
+    # sine modes: B < 0 and B > 0 (alternating sign), |B| / A down to 1e-3
+    # and 1e-12, and mu * span beyond 709, where unscaled sinh factors
+    # overflow and the factors are split into blocks
+    x = np.arange(0 if half else 1, cells // 2 if half else cells)
+    hi = np.random.default_rng(cells).uniform(0.5, 3.0, 8)
+    lo = hi * np.array([0.01, 0.5, 2.0, 50.0, 1 + 2e-3, 1 - 2e-3, 1 + 2e-12, 1 - 1e-6])
+    mu = 2.0 * np.arctanh(np.sqrt(np.minimum(lo, hi) / np.maximum(lo, hi)))
+    assert (mu * len(x) > 709).any() and ((lo - hi) / (lo + hi) <= 1e-3).any() and (lo > hi).any()
+    want = _green_by_sine_sums(cells, half, lo, hi, x)
+    # one mode per row of lo and hi: the Green's functions one by one
+    got = _green_sums(cells, half, lo[:, None], hi[:, None], x, np.ones((len(x), 1)), np.arange(len(x)))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-13 * np.max(np.abs(want), axis=(1, 2)))
+    # all modes summed with weights, at a subset of the columns
+    weights = np.random.default_rng(1).standard_normal((len(x), len(lo)))
+    cols = np.arange(0, len(x), 3)
+    got = _green_sums(cells, half, lo, hi, x, weights, cols)
+    want = np.einsum("ak,bk,kab->ab", weights, weights[cols], want[:, :, cols])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 200])
-def test_folded_sine_round_trip(cells):
+def test_sine_axis_round_trip(cells):
     # the sine transform of a whole axis on both paths, dense (at most
     # _DENSE_MAX interior nodes) and rfft, with the axis in the middle,
     # first and last (flat) position: it gives the modes 1 .. N-1 in natural
@@ -331,7 +377,7 @@ def test_folded_sine_round_trip(cells):
 
 
 @pytest.mark.parametrize("cells", [2, 16, 64, 128, 130, 200])
-def test_folded_sine_half_axis_is_the_odd_part(cells):
+def test_sine_axis_half_axis_is_the_odd_part(cells):
     # a half axis holds the upper half of a symmetric axis, nodes N/2 ..
     # N-1; mirrored with its mid-plane node doubled (as the solver's
     # residual is), the whole axis's transform has no even modes and its
