@@ -237,6 +237,7 @@ def _green_sums(cells: int, half: bool, lo: np.ndarray, hi: np.ndarray, x: np.nd
         np.negative(f, out=f, where=flip)
     (p, q), xc = (f[..., x, :] for f in (phi, psi)), x[cols]  # (..., len(x), K)
     pc, qc = (f.mT[..., xc] for f in (phi, psi))  # (..., K, len(cols))
+    del phi, psi, mx, scale  # not held through the products
     for f, w in ((p, weights), (q, weights), (pc, weights[cols].T), (qc, weights[cols].T)):
         f *= w
     edges = np.arange(0, span + width, width)
@@ -262,20 +263,25 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     """Capacitance correction that makes the box inverse exact on a masked grid.
 
     The masked Hessian ``A`` (free nodes) and the box Hessian ``B``
-    (interior nodes) differ only in the rows of ``Gamma``: free nodes of a
-    horizontal cell that is masked or has a fixed node inside the box, and
-    those fixed nodes.  With ``A~ = A`` on the free nodes and ``B`` on the
-    fixed ones, uncoupled, ``A~ = B + U E U^T`` (``U`` injects ``Gamma``),
-    and (Buzbee, Dorr, George & Golub 1971) ``A~^-1 b = z - B^-1 U E y``
-    with ``z = B^-1 b``, ``(I + G E) y = U^T z`` and ``G = U^T B^-1 U``;
-    ``b = 0`` at a fixed node gives ``0`` there.  The vertical sine modes
-    (odd ones of a halved axis, weighted by 1/2 on its mid-plane) split
-    ``G`` and ``E`` into one ``m x m`` pair per mode: ``G_k = c V diag(1 /
-    lam_k) V^T`` from the box eigenvalues and the horizontal sine basis
-    ``V`` at ``Gamma`` (``c = 2`` per halved horizontal axis), and ``E_k``
-    from the cell Hessians, weighted by the mode's vertical eigenvalues.
-    Per mode of the other horizontal axes, the sum over the first axis's
-    modes is a 1-D Green's function (:func:`_green_sums`).
+    (interior nodes) differ only in the rows of ``Gamma``: free nodes of
+    a horizontal cell that is masked or has a fixed node inside the box,
+    and those fixed nodes.  With ``A~ = A`` on the free nodes and ``B`` on
+    the fixed ones, uncoupled, ``A~ = B + U E U^T`` where ``U`` injects
+    ``Gamma`` and ``E`` is small, and (Buzbee, Dorr, George & Golub 1971)
+    ``A~^-1 b = z - B^-1 U E y`` with ``z = B^-1 b`` and ``(I + G E) y =
+    U^T z``, ``G = U^T B^-1 U``.  A fixed node's row of ``A~`` is ``B``'s
+    own, so ``b = 0`` there gives ``0`` there.
+
+    The mask and the fixed nodes depend on the horizontal axes only, so
+    the vertical sine modes (odd modes of a halved axis, weighted by 1/2
+    on its mid-plane as ``_box_inverse`` explains) split ``G`` and ``E``
+    into one ``m x m`` pair per mode: ``G_k = c V diag(1 / lam_k) V^T``
+    from the box eigenvalues ``lam_k`` and the horizontal sine basis ``V``
+    at ``Gamma`` (``c = 2`` per halved horizontal axis), and ``E_k`` from
+    the cell Hessians, weighted by the mode's vertical eigenvalues.  Per
+    mode of the other horizontal axes, the sum over the first axis's modes
+    is a 1-D Green's function in closed form (:func:`_green_sums`), so
+    ``G_k`` costs two matrix products, for all vertical modes at once.
 
     ``Gamma`` is folded by the maps that leave the problem unchanged: the
     mirror of each unhalved axis about whose mid-plane the grid is
@@ -320,8 +326,7 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     o1, o2, *_ = np.nonzero(pairs)
     stiff = ((1.0 - 2.0 * (offsets[o1] != offsets[o2])) / np.array(grid.h[:r]) ** 2).sum(-1)
     flat = (at[:, None] * 2 * m + at)[pairs]
-    e_parts = np.bincount(np.concatenate((flat, flat + m)), np.concatenate(
-        (-vol * 0.25 ** (r - 1) * stiff, np.full(len(flat), -vol * 0.25**r))), 2 * m * m).reshape(m, 2, m)
+    e_values = np.concatenate((-vol * 0.25 ** (r - 1) * stiff, np.full(len(flat), -vol * 0.25**r)))
 
     # the maps (bit, axes, signs, shift) send node c to c[axes] * signs +
     # shift.  A level lists the sums, middle entries and differences; an
@@ -385,12 +390,12 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     s_rest, c_rest = _eigen_parts([(grid.h[a], ax.cells, ax.modes) for a, ax in enumerate(axes[1:r], 1)])
     reps, s = np.flatnonzero(np.bincount(rep, minlength=m)), vol / c_h
     folded = np.empty((m, len(v_mass) + 2, len(reps)))
-    folded[:, -2:] = e_parts[:, :, reps]
+    folded[:, -2:] = np.bincount(np.concatenate((flat, flat + m)), e_values, 2 * m * m).reshape(m, 2, m)[:, :, reps]
     _green_sums(axes[0].cells, axes[0].half, s * (v_mass[:, None] * s_rest + v_stiff[:, None] * c_rest),
                 s * 4.0 / grid.h[0] ** 2 * v_mass[:, None] * c_rest, coords[:, 0], rest, reps,
                 folded[:, :-2].transpose(1, 0, 2))
     folded, modes, blocks = fold(folded), np.stack((v_mass, v_stiff), axis=1), []
-    for rows in (np.flatnonzero(parity == p) for p in dict.fromkeys(parity.tolist())):
+    for rows in (np.flatnonzero(parity == p) for p in dict.fromkeys(parity.tolist())):  # not np.unique: numpy.ma
         block = folded[rows, :, np.searchsorted(reps, rep[rows])[:, None]].transpose(2, 0, 1)  # (part, row, col)
         # E_k (I + G_k E_k)^-1 on the block; a fold is orthogonal, not
         # orthonormal, hence the columns over their weights
