@@ -19,7 +19,6 @@ from .field import (
     assemble_energy_gradient,
     cell_gradients,
     cell_means,
-    embed_field,
     extend_vertical,
     load_field,
     lp_norm_p,
@@ -35,7 +34,6 @@ from .geometry import (
     build_grid,
     build_vertical_grid,
     cutoff,
-    embed_offsets,
     gauge,
     region_cells,
 )

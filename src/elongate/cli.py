@@ -237,7 +237,7 @@ def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
     if floor is None:
         # default floor: well above the solver-tolerance noise level
         grad_tol = sweep.options.grad_tol or default_grad_tol(sweep.density)
-        floor = 100.0 * grad_tol * abs(sweep.load.value) * result.final_grid.cell_volume
+        floor = 100.0 * grad_tol * sweep.load.max_abs(result.final_grid) * result.final_grid.cell_volume
     floor = float(floor)
     points = {"power": [(r.ell, r.err_w1p) for r in good],
               "exponential": [(r.ell, r.err_grad_p ** (1.0 / p)) for r in good]}

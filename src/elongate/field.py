@@ -21,7 +21,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .geometry import Grid, _dot, embed_offsets
+from .geometry import Grid, _dot
 from .ioutil import atomic_write_bytes, atomic_write_text
 
 
@@ -315,15 +315,6 @@ def extend_vertical(w: ScalarField, grid: Grid) -> ScalarField:
         ):
             raise ValueError("vertical axes differ between the grids")
     return ScalarField(grid, np.broadcast_to(w.values, grid.shape))
-
-
-def embed_field(small: ScalarField, grid: Grid) -> ScalarField:
-    """Place a field from a nested grid into a larger aligned grid, zero elsewhere."""
-    offsets = embed_offsets(small.grid, grid)
-    out = np.zeros(grid.shape)
-    idx = tuple(slice(o, o + m) for o, m in zip(offsets, small.grid.shape))
-    out[idx] = small.values
-    return ScalarField(grid, out)
 
 
 def poincare_ratio(v: ScalarField, p: float) -> float:

@@ -312,25 +312,3 @@ def region_cells(grid: Grid, kind: Literal["core", "slab"], t: float, s: float |
         raise ValueError(f"unknown region kind {kind!r}")
     full = np.broadcast_to(hmask.reshape(hmask.shape + (1,) * (grid.n - grid.r)), grid.cell_shape)
     return full & grid.cell_mask
-
-
-def embed_offsets(small: Grid, big: Grid) -> tuple[int, ...]:
-    """Node-index offsets placing the smaller grid inside the larger one.
-
-    Requires matching spacings and vertical axes, and horizontal offsets
-    that land exactly on the larger grid's lattice (guaranteed for grids
-    built from the same spacing target when the elongations differ by a
-    lattice multiple).
-    """
-    if small.n != big.n or small.r != big.r:
-        raise ValueError("grids have different axis structure")
-    offsets = []
-    for a in range(big.n):
-        if abs(small.h[a] - big.h[a]) > 1e-12 * big.h[a]:
-            raise ValueError(f"axis {a}: spacings differ")
-        off = (small.lo[a] - big.lo[a]) / big.h[a]
-        k = int(round(off))
-        if abs(off - k) > 1e-9 or k < 0 or k + small.shape[a] > big.shape[a]:
-            raise ValueError(f"axis {a}: grids are not aligned")
-        offsets.append(k)
-    return tuple(offsets)

@@ -1,8 +1,8 @@
 """Elongation sweeps, decay profiles, rate fits, and convergence verdicts.
 
-A sweep solves the full problem at each elongation (warm-started from
-the previous solution embedded into the larger grid), solves the limit
-problem once, and measures the error norms on a fixed core subdomain.
+A sweep solves the limit problem once and the full problem at each
+elongation, each solve cold and independent of the others, and measures
+the error norms on a fixed core subdomain.
 All comparisons are discrete-vs-discrete on the shared vertical axes,
 so measured decays are not polluted by discretization error and keep
 falling until they meet the solver-tolerance floor.
@@ -10,6 +10,7 @@ falling until they meet the solver-tolerance floor.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import os
@@ -28,7 +29,6 @@ from .field import (
     _cell_gradients_arr,
     _cell_means_arr,
     _norm_p,
-    embed_field,
 )
 from .geometry import CrossSection, DomainSpec, Grid, build_grid, build_vertical_grid
 from .solver import SolveOptions, SolveReport, _upper_half, minimize, solve_limit
@@ -53,7 +53,11 @@ def thread_budget() -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a sweep needs; validated on construction."""
+    """Everything a sweep needs; validated on construction.
+
+    ``warm_start`` selects nothing: every elongation is solved cold.  It is
+    accepted so that existing configs and callers stay valid.
+    """
 
     cross_section: CrossSection
     vertical_halfwidths: tuple[float, ...]
@@ -178,26 +182,24 @@ def _measure(grid: Grid, u: ScalarField, rep: SolveReport, w: ScalarField, wrep:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve the family across the elongation list and measure every record.
 
-    Warm starting embeds the previous solution (padded by zeros) into
-    the next grid and forces a sequential sweep; with warm starting
-    disabled the elongations are solved concurrently, bounded by
-    :func:`thread_budget`.  Non-converged solves, including a failed
-    limit solve, mark their record; downstream fits skip them.  Only
-    the solution at the largest elongation is kept
-    (``final_field``/``final_grid``/``final_report``).  Deterministic
-    given the config.  ``ELONGATE_THREADS`` is read before any solve.
+    Each elongation is solved cold, independently of the others, so up to
+    :func:`thread_budget` of them run concurrently (``ELONGATE_THREADS`` is
+    read before any solve) and the records do not depend on that count.
+    Non-converged solves, including a failed limit solve, mark their
+    record; downstream fits skip them.  Only the solution at the largest
+    elongation is kept (``final_field``/``final_grid``/``final_report``).
+    Deterministic given the config.
     """
     threads = thread_budget()
     vgrid = build_vertical_grid(config.vertical_halfwidths, config.target_h, config.max_nodes)
     w, wrep = solve_limit(vgrid, config.density, config.load, config.options)
     p = config.density.p
 
-    def solve_one(ell: float, warm: ScalarField | None):
+    def solve_one(ell: float):
         t0 = time.perf_counter()
         dom = DomainSpec(config.cross_section, ell, config.vertical_halfwidths)
         grid = build_grid(dom, config.target_h, config.max_nodes)
-        seed = embed_field(warm, grid) if warm is not None else None
-        u, rep = minimize(grid, config.density, config.load, config.options, warm_start=seed)
+        u, rep = minimize(grid, config.density, config.load, config.options)
         meas = _measure(grid, u, rep, w, wrep, p, config.ell0)
         record = SweepRecord(
             ell=ell,
@@ -214,15 +216,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         return record, u, grid, rep
 
     records: list[SweepRecord] = []
-    u = grid = rep = None
-    if config.warm_start:
-        for ell in config.ells:
-            record, u, grid, rep = solve_one(ell, u)
+    # one thread maps inline: a worker thread's stack would only add memory
+    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
+        for record, u, grid, rep in (pool.map if pool else map)(solve_one, config.ells):
             records.append(record)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for record, u, grid, rep in pool.map(lambda e: solve_one(e, None), config.ells):
-                records.append(record)
     return SweepResult(
         records=records, limit=w, limit_report=wrep, final_field=u, final_grid=grid, final_report=rep
     )

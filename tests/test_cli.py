@@ -326,6 +326,16 @@ def test_sweep_artifacts_and_exit(tmp_path):
         float(row[0]), float(row[1])
 
 
+def test_sweep_off_lattice_ell_list(tmp_path):
+    # ell = 2.3 gets another spacing than ell = 2 at h = 1/8: the grids do
+    # not nest, and the sweep solves each of them from scratch
+    cfg = _write_config(tmp_path / "c.json", domain={"ell_list": [2, 2.3]}, grid={"target_h": 0.125})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["2.0", "2.3"]
+
+
 def test_sweep_short_ell_list_warns_but_succeeds(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json")  # two elongations only
     out = tmp_path / "o"

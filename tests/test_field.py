@@ -11,7 +11,6 @@ from elongate import (
     build_grid,
     build_vertical_grid,
     cell_gradients,
-    embed_field,
     extend_vertical,
     load_field,
     lp_norm_p,
@@ -196,16 +195,6 @@ def test_extend_vertical_rejects_mismatched_axes():
     other = build_vertical_grid([1.0], 0.2)
     with pytest.raises(ValueError):
         extend_vertical(ScalarField.zeros(other), grid)
-
-
-def test_embed_field_pads_with_zeros():
-    small = _grid(ell=2.0, h=0.5)
-    big = _grid(ell=3.0, h=0.5)
-    rng = np.random.default_rng(3)
-    u = ScalarField(small, rng.standard_normal(small.shape))
-    out = embed_field(u, big)
-    assert np.allclose(out.values[2:-2, :], u.values)
-    assert np.all(out.values[:2, :] == 0.0) and np.all(out.values[-2:, :] == 0.0)
 
 
 def test_poincare_zero_field_convention():

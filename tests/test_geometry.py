@@ -8,7 +8,6 @@ from elongate import (
     build_grid,
     build_vertical_grid,
     cutoff,
-    embed_offsets,
     gauge,
     region_cells,
 )
@@ -184,11 +183,10 @@ def test_grid_nesting_and_embed_offsets():
     cs = CrossSection("box", 1)
     small = build_grid(DomainSpec(cs, 2.0, (1.0,)), 1 / 8)
     big = build_grid(DomainSpec(cs, 3.0, (1.0,)), 1 / 8)
-    off = embed_offsets(small, big)
-    assert off == (8, 0)
-    for a in range(2):
-        sub = big.axis_nodes(a)[off[a]: off[a] + small.shape[a]]
-        assert np.allclose(sub, small.axis_nodes(a), atol=1e-13)
+    assert small.h == pytest.approx(big.h, rel=1e-12)
+    for a, k in enumerate((8, 0)):  # the smaller grid starts k nodes into the larger one
+        assert small.lo[a] == pytest.approx(big.lo[a] + k * big.h[a], abs=1e-12)
+        assert np.allclose(big.axis_nodes(a)[k: k + small.shape[a]], small.axis_nodes(a), atol=1e-13)
 
 
 def test_vertical_axes_independent_of_ell():

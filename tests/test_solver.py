@@ -378,7 +378,7 @@ def test_sine_axis_round_trip(cells):
 
 
 @pytest.mark.parametrize("cells", [2, 16, 64, 128, 130, 200])
-def test_folded_sine_half_axis_is_the_odd_part(cells):
+def test_sine_axis_half_axis_is_the_odd_part(cells):
     # a half axis holds the upper half of a symmetric axis, nodes N/2 ..
     # N-1; mirrored with its mid-plane node doubled (as the solver's
     # residual is), the whole axis's transform has no even modes and its

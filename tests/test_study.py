@@ -129,11 +129,30 @@ def test_run_sweep_deterministic():
         assert abs(a.J_ell - b.J_ell) <= 1e-12 * max(1.0, abs(a.J_ell))
 
 
-def test_run_sweep_parallel_matches_sequential():
-    seq = run_sweep(_sweep_config(warm_start=False, ells=(2.0, 3.0))).records
-    ref = run_sweep(_sweep_config(ells=(2.0, 3.0))).records
-    for a, b in zip(seq, ref):
-        assert abs(a.err_grad_p - b.err_grad_p) <= 1e-10 * max(1.0, a.err_grad_p)
+def _without_runtime(records):
+    return [dataclasses.replace(rec, runtime_ms=0.0) for rec in records]
+
+
+def test_run_sweep_parallel_matches_sequential(monkeypatch):
+    # every solve is cold, so neither the thread count nor warm_start
+    # changes a record, down to the last bit
+    monkeypatch.delenv("ELONGATE_THREADS", raising=False)
+    ref = _without_runtime(run_sweep(_sweep_config(ells=(2.0, 3.0))).records)
+    assert _without_runtime(run_sweep(_sweep_config(ells=(2.0, 3.0), warm_start=False)).records) == ref
+    monkeypatch.setenv("ELONGATE_THREADS", "2")
+    assert _without_runtime(run_sweep(_sweep_config(ells=(2.0, 3.0))).records) == ref
+
+
+@pytest.mark.parametrize("ells", [(2.0, 2.3), (2.0, 2.0625)], ids=["spacings-differ", "half-cell-offset"])
+def test_run_sweep_off_lattice_elongations(ells):
+    # at h = 1/8, ell = 2.3 gets another spacing than ell = 2, and ell =
+    # 2.0625 puts its nodes half a cell off those of ell = 2: the grids do
+    # not nest, and the default sweep must solve them all the same
+    res = run_sweep(_sweep_config(ells=ells))
+    assert [rec.ell for rec in res.records] == list(ells)
+    assert all(rec.converged for rec in res.records)
+    cold = run_sweep(_sweep_config(ells=ells, warm_start=False))
+    assert _without_runtime(res.records) == _without_runtime(cold.records)
 
 
 def test_decay_rate_converges_to_pi_over_2():
