@@ -1,9 +1,9 @@
 """Command-line front end: config parsing, experiment runs, artifact emission.
 
 One JSON config file drives each run (reproducibility over convenience;
-the only environment variable honored is ``ELONGATE_THREADS`` for the
-parallelism degree).  Every output is written atomically, and the
-resolved config is emitted alongside the artifacts so a run can be
+no environment variable is read), and a sweep solves its elongations one
+at a time in the calling thread.  Every output is written atomically, and
+the resolved config is emitted alongside the artifacts so a run can be
 reproduced exactly.  ``solve`` and ``profile`` run the sweep over the
 largest elongation alone, so every command solves through one path.
 

@@ -1,8 +1,9 @@
 """Elongation sweeps, decay profiles, rate fits, and convergence verdicts.
 
 A sweep solves the limit problem once and the full problem at each
-elongation, each solve cold and independent of the others, and measures
-the error norms on a fixed core subdomain.
+elongation, one elongation at a time in the calling thread, each solve
+cold and independent of the others, and measures the error norms on a
+fixed core subdomain.
 All comparisons are discrete-vs-discrete on the shared vertical axes,
 so measured decays are not polluted by discretization error and keep
 falling until they meet the solver-tolerance floor.
@@ -10,12 +11,9 @@ falling until they meet the solver-tolerance floor.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -37,18 +35,6 @@ SWEEP_CSV_HEADER = (
     "ell,ell0,h_horiz,h_vert,nodes,iters,converged,J_ell,"
     "total_grad_energy,err_grad_p,err_w1p,hgrad_p,runtime_ms"
 )
-
-
-def thread_budget() -> int:
-    """Parallelism degree: ELONGATE_THREADS, defaulting to 1.
-
-    A value that is not an integer raises :class:`ValueError`.
-    """
-    raw = os.environ.get("ELONGATE_THREADS", "").strip() or "1"
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"ELONGATE_THREADS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -110,6 +96,8 @@ class SweepRecord:
     err_grad_p: float
     err_w1p: float
     hgrad_p: float
+    # this record's own solve and measure time, uncontended: no other solve
+    # runs while it does
     runtime_ms: float
 
     def to_json(self) -> dict:
@@ -182,15 +170,14 @@ def _measure(grid: Grid, u: ScalarField, rep: SolveReport, w: ScalarField, wrep:
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve the family across the elongation list and measure every record.
 
-    Each elongation is solved cold, independently of the others, so up to
-    :func:`thread_budget` of them run concurrently (``ELONGATE_THREADS`` is
-    read before any solve) and the records do not depend on that count.
+    The elongations are solved one after another in the calling thread,
+    each cold and independent of the others: a solve is a chain of small
+    numpy calls that hold the GIL, so threads would only interleave them.
     Non-converged solves, including a failed limit solve, mark their
     record; downstream fits skip them.  Only the solution at the largest
     elongation is kept (``final_field``/``final_grid``/``final_report``).
     Deterministic given the config.
     """
-    threads = thread_budget()
     vgrid = build_vertical_grid(config.vertical_halfwidths, config.target_h, config.max_nodes)
     w, wrep = solve_limit(vgrid, config.density, config.load, config.options)
     p = config.density.p
@@ -216,10 +203,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         return record, u, grid, rep
 
     records: list[SweepRecord] = []
-    # one thread maps inline: a worker thread's stack would only add memory
-    with ThreadPoolExecutor(threads) if threads > 1 else contextlib.nullcontext() as pool:
-        for record, u, grid, rep in (pool.map if pool else map)(solve_one, config.ells):
-            records.append(record)
+    for record, u, grid, rep in map(solve_one, config.ells):
+        records.append(record)
     return SweepResult(
         records=records, limit=w, limit_report=wrep, final_field=u, final_grid=grid, final_report=rep
     )

@@ -7,7 +7,8 @@ numpy is the only runtime dependency.  Every module-level private
 function or class (``_name``) is referenced somewhere in the package
 outside its own definition.  Every name the benchmark's worker
 (``bench/child.py``) imports from the package exists, and so does every
-attribute, parameter and config key it uses.
+attribute, parameter and config key it uses.  Importing the CLI loads no
+thread pool.
 """
 
 import ast
@@ -16,6 +17,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -109,6 +111,15 @@ def test_dead_helpers_are_found():
 def test_every_private_helper_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in ALL_MODULES}
     assert _dead_helpers(sources) == []
+
+
+def test_import_loads_no_thread_pool():
+    # sweeps solve in the calling thread, so a fresh interpreter that imports
+    # the CLI has no use for concurrent.futures (~5 ms to import)
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import elongate.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _package_imports(source: str) -> list[tuple[str, str]]:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from elongate import (
     region_cells,
     run_sweep,
 )
-from elongate.study import SWEEP_CSV_HEADER, thread_budget
+from elongate.study import SWEEP_CSV_HEADER
 
 CS1 = CrossSection("box", 1)
 
@@ -134,13 +135,26 @@ def _without_runtime(records):
 
 
 def test_run_sweep_parallel_matches_sequential(monkeypatch):
-    # every solve is cold, so neither the thread count nor warm_start
-    # changes a record, down to the last bit
+    # the sweep reads no environment variable: ELONGATE_THREADS, which once
+    # set a thread pool's size, changes no record down to the last bit
     monkeypatch.delenv("ELONGATE_THREADS", raising=False)
     ref = _without_runtime(run_sweep(_sweep_config(ells=(2.0, 3.0))).records)
-    assert _without_runtime(run_sweep(_sweep_config(ells=(2.0, 3.0), warm_start=False)).records) == ref
+    for value in ("2", "junk"):
+        monkeypatch.setenv("ELONGATE_THREADS", value)
+        assert _without_runtime(run_sweep(_sweep_config(ells=(2.0, 3.0))).records) == ref
+
+
+def test_run_sweep_starts_no_thread(monkeypatch):
+    # every elongation is solved in the calling thread, whatever
+    # ELONGATE_THREADS, which once sized a thread pool, asks for
+    def refuse(self):
+        raise AssertionError(f"run_sweep started thread {self.name}")
+
     monkeypatch.setenv("ELONGATE_THREADS", "2")
-    assert _without_runtime(run_sweep(_sweep_config(ells=(2.0, 3.0))).records) == ref
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    res = run_sweep(_sweep_config(ells=(2.0, 3.0)))
+    assert [rec.ell for rec in res.records] == [2.0, 3.0]
+    assert all(rec.converged for rec in res.records)
 
 
 @pytest.mark.parametrize("ells", [(2.0, 2.3), (2.0, 2.0625)], ids=["spacings-differ", "half-cell-offset"])
@@ -404,13 +418,3 @@ def test_records_csv_schema():
     assert len(row) == len(SWEEP_CSV_HEADER.split(","))
     assert float(row[0]) == 2.0
     assert row[6] == "1"
-
-
-def test_thread_budget_env(monkeypatch):
-    monkeypatch.setenv("ELONGATE_THREADS", "3")
-    assert thread_budget() == 3
-    monkeypatch.setenv("ELONGATE_THREADS", "junk")
-    with pytest.raises(ValueError, match="ELONGATE_THREADS"):
-        thread_budget()
-    monkeypatch.delenv("ELONGATE_THREADS")
-    assert thread_budget() == 1
