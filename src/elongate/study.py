@@ -171,8 +171,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve the family across the elongation list and measure every record.
 
     The elongations are solved one after another in the calling thread,
-    each cold and independent of the others: a solve is a chain of small
-    numpy calls that hold the GIL, so threads would only interleave them.
+    each cold and independent of the others: a solve is mostly small numpy
+    calls that hold the GIL, so solves on two threads interleave and each
+    takes longer.
     Non-converged solves, including a failed limit solve, mark their
     record; downstream fits skip them.  Only the solution at the largest
     elongation is kept (``final_field``/``final_grid``/``final_report``).
