@@ -33,7 +33,7 @@ from .density import (
 from .field import Load, extend_vertical, save_field
 from .geometry import CrossSection, DomainSpec, build_grid
 from .ioutil import atomic_write_text
-from .solver import SolveOptions, default_grad_tol, minimality_audit
+from .solver import SolveOptions, minimality_audit
 from .study import (
     SweepConfig,
     convergence_verdicts,
@@ -175,7 +175,8 @@ def _load_config(path: str) -> tuple[dict, SweepConfig]:
 
 
 def _emit_json(path: str, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON; a dataclass in it is written as its fields."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=dataclasses.asdict) + "\n")
 
 
 def _dry_run(sweep: SweepConfig) -> int:
@@ -191,12 +192,8 @@ def _dry_run(sweep: SweepConfig) -> int:
 def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
     ell = sweep.ells[-1]
     result = run_sweep(dataclasses.replace(sweep, ells=(ell,)))
-    grid, u = result.final_grid, result.final_field
-    rep, wrep = result.final_report, result.limit_report
-    audit = minimality_audit(
-        u, grid, sweep.density, sweep.load, extend_vertical(result.limit, grid),
-        grad_tol=sweep.options.grad_tol,
-    )
+    u, rep, wrep = result.final_field, result.final_report, result.limit_report
+    audit = minimality_audit(u, sweep.density, sweep.load, result.limit, grad_tol=sweep.options.grad_tol)
     os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
     save_field(u, os.path.join(out, "field"))
@@ -206,11 +203,11 @@ def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
             "ell": ell,
             "p": sweep.density.p,
             "load_conjugate_exponent": Load.conjugate_exponent(sweep.density.p),
-            "solve": rep.to_json(),
-            "limit": wrep.to_json(),
+            "solve": rep,
+            "limit": wrep,
         },
     )
-    _emit_json(os.path.join(out, "minimality-audit.json"), audit.to_json())
+    _emit_json(os.path.join(out, "minimality-audit.json"), audit)
     if not (rep.converged and wrep.converged):
         print("solver did not converge", file=sys.stderr)
         return EXIT_SOLVER
@@ -235,21 +232,20 @@ def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
     p = sweep.density.p
     floor = rc["study"]["floor"]
     if floor is None:
-        # default floor: well above the solver-tolerance noise level
-        grad_tol = sweep.options.grad_tol or default_grad_tol(sweep.density)
-        floor = 100.0 * grad_tol * sweep.load.max_abs(result.final_grid) * result.final_grid.cell_volume
+        # default floor: well above the final solve's own stopping threshold
+        floor = 100.0 * result.final_report.grad_tol_abs
     floor = float(floor)
     points = {"power": [(r.ell, r.err_w1p) for r in good],
               "exponential": [(r.ell, r.err_grad_p ** (1.0 / p)) for r in good]}
     fits = {m: fit_rate(points[m], m, floor) for m in _FIT_MODELS if m in rc["study"]["fit_models"]}
-    _emit_json(os.path.join(out, "fits.json"), {k: f.to_json() for k, f in fits.items()})
+    _emit_json(os.path.join(out, "fits.json"), fits)
 
     for model, pts in points.items():  # ln e against ell, or against ln ell for the power model
         rows = (f"{math.log(x) if model == 'power' else x!r} {math.log(e)!r}" for x, e in pts if e > 0)
         atomic_write_text(os.path.join(out, f"plot-{model}.dat"), "\n".join(rows) + "\n")
 
     verdicts = convergence_verdicts(records, sweep.density, sweep.cross_section.r, fits)
-    _emit_json(os.path.join(out, "verdicts.json"), [v.to_json() for v in verdicts])
+    _emit_json(os.path.join(out, "verdicts.json"), verdicts)
 
     failed = [v for v in verdicts if v.applicable and v.passed is False]
     pending = [v for v in verdicts if v.applicable and v.passed is None]
@@ -269,7 +265,7 @@ def cmd_profile(rc: dict, sweep: SweepConfig, out: str) -> int:
         print("solver did not converge", file=sys.stderr)
         return EXIT_SOLVER
     t_values = np.arange(1.0, math.floor(ell) + 1.0)
-    limit_ext = extend_vertical(result.limit, result.final_grid)
+    limit_ext = extend_vertical(result.limit, result.final_field.grid)
     profile = decay_profile(result.final_field, limit_ext, sweep.density.p, t_values)
     os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
@@ -289,10 +285,9 @@ def cmd_audit_density(args: argparse.Namespace) -> int:
         reports["uniform_strict_convexity"] = audit_uniform_strict_convexity(
             density, args.samples, args.seed
         )
-    payload = {name: rep.to_json() for name, rep in reports.items()}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _emit_json(os.path.join(args.out, "density-audit.json"), payload)
+        _emit_json(os.path.join(args.out, "density-audit.json"), reports)
     total = 0
     for name, rep in reports.items():
         print(f"{name}: {rep.violations} violations over {rep.samples} samples "

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import functools
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,9 +50,6 @@ class HypothesisReport:
     violations: int
     worst_margin: float
     witnesses: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 class EnergyDensity(abc.ABC):

@@ -134,10 +134,6 @@ class DomainSpec:
     def r(self) -> int:
         return self.cross_section.r
 
-    @property
-    def n(self) -> int:
-        return self.r + len(self.vertical_halfwidths)
-
 
 @dataclass(frozen=True, eq=False)
 class Grid:

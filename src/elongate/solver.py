@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,6 +60,7 @@ from .field import (
     _assemble_gradient_arr,
     _cell_gradients_arr,
     _load_vector,
+    extend_vertical,
     load_cell_values,
 )
 from .geometry import Grid, cutoff
@@ -118,9 +119,6 @@ class SolveReport:
     mirror_axes: list[int]
     #: Seconds of ``wall_time`` spent setting up the preconditioner.
     precond_s: float
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def default_grad_tol(density: EnergyDensity) -> float:
@@ -393,35 +391,28 @@ class MinimalityReport:
     tol: float
     worst_trial: str = ""
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def minimality_audit(
     u: ScalarField,
-    grid: Grid,
     density: EnergyDensity,
     load: Load,
-    limit_ext: ScalarField,
-    trials: int = 100,
-    blend_trials: int = 20,
+    limit: ScalarField,
     seed: int = 0,
-    alpha: float | None = None,
-    s: float | None = None,
-    t: float | None = None,
     grad_tol: float | None = None,
 ) -> MinimalityReport:
     """Check a solved field against a battery of admissible competitors.
 
-    Competitors: the field itself, the zero field, far-field cuts that
-    zero the field on a core subdomain, random smooth bumps, and
-    gauge-ramp blends toward the extended limit profile (at the given
-    ``alpha``/``s``/``t`` when provided, otherwise sampled).  A violation
-    is a competitor whose energy undercuts the solution's by more than
-    ``10 * grad_tol * max(1, |J|)``.
+    Competitors on ``u``'s grid: the field itself, the zero field,
+    far-field cuts that zero the field on a core subdomain, 100 random
+    smooth bumps, and 20 random gauge-ramp blends toward the limit
+    profile ``limit``, extended over the grid.  ``seed`` fixes the bumps
+    and blends.  A violation is a competitor whose energy undercuts the
+    solution's by more than ``10 * grad_tol * max(1, |J|)``.
     """
+    grid = u.grid
     if grid.r == 0:
         raise ValueError("the audit needs a horizontal axis for its cut and blend trials")
+    limit_ext = extend_vertical(limit, grid)
     rng = np.random.default_rng(seed)
     f_cells = load_cell_values(grid, load)
     Ju = _assemble_energy_arr(grid, u.values, density, f_cells)
@@ -452,7 +443,7 @@ def minimality_audit(
 
     umax = max(1.0, float(np.max(np.abs(u.values))))
     mesh = grid.node_meshgrid()
-    for i in range(trials):
+    for i in range(100):
         bump = np.ones(grid.shape)
         for a in range(grid.n):
             kmode = rng.integers(1, 5)
@@ -461,13 +452,10 @@ def minimality_audit(
         amp = rng.uniform(0.02, 0.5) * umax * rng.choice([-1.0, 1.0])
         run_trial(u.values + amp * bump, f"bump {i}")
 
-    for i in range(blend_trials):
-        if alpha is not None and s is not None and t is not None and i == 0:
-            a_, t_, s_ = alpha, t, s
-        else:
-            a_ = rng.uniform(0.05, 1.0) if alpha is None else alpha
-            t_ = rng.uniform(0.1 * ell, 0.6 * ell) if t is None else t
-            s_ = rng.uniform(t_ + 0.05 * (ell - t_), ell) if s is None else s
+    for i in range(20):
+        a_ = rng.uniform(0.05, 1.0)
+        t_ = rng.uniform(0.1 * ell, 0.6 * ell)
+        s_ = rng.uniform(t_ + 0.05 * (ell - t_), ell)
         if not 0 < t_ < s_:
             continue
         rho = cutoff(grid.cross_section, hpoints, s_, t_).reshape(hpoints.shape[:-1] + vshape)

@@ -11,10 +11,9 @@ falling until they meet the solver-tolerance floor.
 
 from __future__ import annotations
 
-import io
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,11 +29,6 @@ from .field import (
 )
 from .geometry import CrossSection, DomainSpec, Grid, build_grid, build_vertical_grid
 from .solver import SolveOptions, SolveReport, _upper_half, minimize, solve_limit
-
-SWEEP_CSV_HEADER = (
-    "ell,ell0,h_horiz,h_vert,nodes,iters,converged,J_ell,"
-    "total_grad_energy,err_grad_p,err_w1p,hgrad_p,runtime_ms"
-)
 
 
 @dataclass(frozen=True)
@@ -96,12 +90,16 @@ class SweepRecord:
     err_grad_p: float
     err_w1p: float
     hgrad_p: float
-    # this record's own solve and measure time, uncontended: no other solve
-    # runs while it does
     runtime_ms: float
 
+    # the one report with its own encoder: bench/child.py reads records
+    # through it
     def to_json(self) -> dict:
         return asdict(self)
+
+
+#: The sweep CSV's columns: the record's fields, in order.
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 @dataclass
@@ -110,7 +108,6 @@ class SweepResult:
     limit: ScalarField
     limit_report: SolveReport
     final_field: ScalarField
-    final_grid: Grid
     final_report: SolveReport
 
 
@@ -171,25 +168,24 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Solve the family across the elongation list and measure every record.
 
     The elongations are solved one after another in the calling thread,
-    each cold and independent of the others: a solve is mostly small numpy
-    calls that hold the GIL, so solves on two threads interleave and each
-    takes longer.
+    each cold and independent of the others.
     Non-converged solves, including a failed limit solve, mark their
     record; downstream fits skip them.  Only the solution at the largest
-    elongation is kept (``final_field``/``final_grid``/``final_report``).
+    elongation is kept (``final_field``/``final_report``).
     Deterministic given the config.
     """
     vgrid = build_vertical_grid(config.vertical_halfwidths, config.target_h, config.max_nodes)
     w, wrep = solve_limit(vgrid, config.density, config.load, config.options)
     p = config.density.p
 
-    def solve_one(ell: float):
+    records: list[SweepRecord] = []
+    for ell in config.ells:
         t0 = time.perf_counter()
         dom = DomainSpec(config.cross_section, ell, config.vertical_halfwidths)
         grid = build_grid(dom, config.target_h, config.max_nodes)
         u, rep = minimize(grid, config.density, config.load, config.options)
         meas = _measure(grid, u, rep, w, wrep, p, config.ell0)
-        record = SweepRecord(
+        records.append(SweepRecord(
             ell=ell,
             ell0=config.ell0,
             h_horiz=grid.h[0],
@@ -200,15 +196,8 @@ def run_sweep(config: SweepConfig) -> SweepResult:
             J_ell=rep.energy,
             runtime_ms=1e3 * (time.perf_counter() - t0),
             **meas,
-        )
-        return record, u, grid, rep
-
-    records: list[SweepRecord] = []
-    for record, u, grid, rep in map(solve_one, config.ells):
-        records.append(record)
-    return SweepResult(
-        records=records, limit=w, limit_report=wrep, final_field=u, final_grid=grid, final_report=rep
-    )
+        ))
+    return SweepResult(records=records, limit=w, limit_report=wrep, final_field=u, final_report=rep)
 
 
 @dataclass
@@ -220,11 +209,8 @@ class Profile:
     g: np.ndarray
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,g\n")
-        for tv, gv in zip(self.t, self.g):
-            buf.write(f"{float(tv)!r},{float(gv)!r}\n")
-        return buf.getvalue()
+        rows = (f"{float(tv)!r},{float(gv)!r}" for tv, gv in zip(self.t, self.g))
+        return "".join(f"{row}\n" for row in ["t,g", *rows])
 
 
 def decay_profile(u: ScalarField, limit_ext: ScalarField, p: float, t_values: Sequence[float]) -> Profile:
@@ -269,9 +255,6 @@ class RateFit:
     n_points: int
     floor: float
     ok: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def fit_rate(points: Sequence[tuple[float, float]], model: str, floor: float = 0.0) -> RateFit:
@@ -319,9 +302,6 @@ class Verdict:
     passed: bool | None
     measured: dict
     note: str = ""
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def power_rate_target(density: EnergyDensity, r: int) -> float:
@@ -416,13 +396,7 @@ def _rate_verdict(model: str, fits: dict[str, RateFit], errors, at_floor: dict, 
 
 
 def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    """Render sweep records in the documented CSV schema (repr round-trip)."""
-    buf = io.StringIO()
-    buf.write(SWEEP_CSV_HEADER + "\n")
-    for rec in records:
-        buf.write(
-            f"{rec.ell!r},{rec.ell0!r},{rec.h_horiz!r},{rec.h_vert!r},{rec.nodes},"
-            f"{rec.iters},{int(rec.converged)},{rec.J_ell!r},{rec.total_grad_energy!r},"
-            f"{rec.err_grad_p!r},{rec.err_w1p!r},{rec.hgrad_p!r},{rec.runtime_ms!r}\n"
-        )
-    return buf.getvalue()
+    """Render sweep records in the documented CSV schema (repr round-trip,
+    ``converged`` as 0/1)."""
+    rows = (",".join(repr(int(v) if isinstance(v, bool) else v) for v in astuple(rec)) for rec in records)
+    return "".join(f"{row}\n" for row in [SWEEP_CSV_HEADER, *rows])

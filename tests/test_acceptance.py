@@ -194,12 +194,9 @@ def test_a6_minimality_audits(a1_run, a4_run):
         grad_tol = cfg.options.grad_tol if cfg.options.grad_tol is not None else 1e-9
         rep = minimality_audit(
             result.final_field,
-            result.final_grid,
             cfg.density,
             cfg.load,
-            extend_vertical(result.limit, result.final_grid),
-            trials=100,
-            blend_trials=20,
+            result.limit,
             seed=606,
             grad_tol=grad_tol,
         )
@@ -215,7 +212,7 @@ def test_a6_minimality_audits(a1_run, a4_run):
 
 def test_a7_decay_profile_contraction(a1_run):
     cfg, result, _ = a1_run
-    ext = extend_vertical(result.limit, result.final_grid)
+    ext = extend_vertical(result.limit, result.final_field.grid)
     profile = decay_profile(result.final_field, ext, 2.0, np.arange(1.0, 13.0))
     g = {int(t): gv for t, gv in zip(profile.t, profile.g)}
     ratios = [g[t] / g[t + 1] for t in range(2, 10)]

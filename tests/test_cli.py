@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import time
 
 import pytest
@@ -263,6 +265,22 @@ def test_solve_writes_artifacts(tmp_path):
     # the preconditioner's set-up time is reported as part of each solve's time
     for name in ("solve", "limit"):
         assert 0.0 <= report[name]["precond_s"] <= report[name]["wall_time"]
+
+
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path):
+    # 0o666 less the umask, as open(path, "w") gives, for text and binary
+    # artifacts alike; no temporary file is left behind
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    umask = os.umask(0o022)
+    try:
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert modes == dict.fromkeys(
+        ["field.bin", "field.json", "minimality-audit.json", "resolved-config.json", "solve-report.json"], 0o644
+    )
 
 
 def test_solver_failure_exit_code(tmp_path, capsys):

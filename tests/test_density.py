@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -343,7 +345,7 @@ def test_make_density_validation():
 
 def test_report_serializes():
     rep = audit_growth(Q, 100, seed=0)
-    data = rep.to_json()
+    data = dataclasses.asdict(rep)
     assert data["hypothesis"] == "growth-and-coercivity"
     assert data["samples"] == 400  # four bound families
     assert data["violations"] == 0

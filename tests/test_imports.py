@@ -8,7 +8,7 @@ function or class (``_name``) is referenced somewhere in the package
 outside its own definition.  Every name the benchmark's worker
 (``bench/child.py``) imports from the package exists, and so does every
 attribute, parameter and config key it uses.  Importing the CLI loads no
-thread pool.
+thread pool, and no module touches an environment variable.
 """
 
 import ast
@@ -111,6 +111,36 @@ def test_dead_helpers_are_found():
 def test_every_private_helper_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in ALL_MODULES}
     assert _dead_helpers(sources) == []
+
+
+_ENVIRONMENT = ("environ", "getenv", "putenv")
+
+
+def _environment_access(source: str) -> list[str]:
+    """Every ``os.environ``, ``os.getenv`` and ``os.putenv`` that ``source``
+    names, as an attribute of ``os`` or imported from it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if a.name in _ENVIRONMENT]
+    return sorted(found)
+
+
+def test_environment_access_is_found():
+    source = (
+        "import os\nfrom os import getenv\nx = os.environ.get('A', os.path.sep)\n"
+        "def f():\n    os.putenv('B', '1')\n"
+    )
+    assert _environment_access(source) == ["os.environ", "os.getenv", "os.putenv"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.stem)
+def test_module_reads_no_environment_variable(path):
+    # one JSON config drives every run: the package reads no environment variable
+    assert _environment_access(path.read_text(encoding="utf-8")) == []
 
 
 def test_import_loads_no_thread_pool():

@@ -774,10 +774,7 @@ def test_minimality_audit_accepts_converged_solution(kind, p, gtol):
     assert rep.converged
     vg = build_vertical_grid([1.0], 1 / 8)
     w, _ = solve_limit(vg, d, LOAD2, opts)
-    report = minimality_audit(
-        u, grid, d, LOAD2, extend_vertical(w, grid), trials=50, blend_trials=10, seed=5,
-        grad_tol=gtol,
-    )
+    report = minimality_audit(u, d, LOAD2, w, seed=5, grad_tol=gtol)
     assert report.violations == 0
     assert report.worst_gap <= report.tol
 
@@ -788,11 +785,13 @@ def test_minimality_audit_identity_trial_is_exact():
     u, _ = minimize(grid, d, LOAD2)
     vg = build_vertical_grid([1.0], 1 / 4)
     w, _ = solve_limit(vg, d, LOAD2)
-    report = minimality_audit(
-        u, grid, d, LOAD2, extend_vertical(w, grid), trials=0, blend_trials=1, seed=0,
-        alpha=0.5, s=1.5, t=0.5,
-    )
+    report = minimality_audit(u, d, LOAD2, w)
     assert report.violations == 0
+    # the default battery: identity, zero field, 3 far cuts, 100 bumps and
+    # 20 blends; every competitor costs more, so the worst gap is the
+    # identity's, exactly 0
+    assert report.trials == 125
+    assert (report.worst_trial, report.worst_gap) == ("identity", 0.0)
 
 
 def test_minimality_audit_flags_nonminimizer():
@@ -801,8 +800,7 @@ def test_minimality_audit_flags_nonminimizer():
     vg = build_vertical_grid([1.0], 1 / 4)
     w, _ = solve_limit(vg, d, LOAD2)
     bogus = ScalarField(grid, np.zeros(grid.shape))
-    report = minimality_audit(bogus, grid, d, LOAD2, extend_vertical(w, grid), trials=20,
-                              blend_trials=10, seed=2)
+    report = minimality_audit(bogus, d, LOAD2, w, seed=2)
     assert report.violations > 0
     assert report.worst_gap > report.tol
 
@@ -811,6 +809,6 @@ def test_report_serialization():
     vg = build_vertical_grid([1.0], 1 / 8)
     d = make_density("quadratic", r=1, n=2)
     _, rep = solve_limit(vg, d, LOAD2)
-    data = rep.to_json()
+    data = dataclasses.asdict(rep)
     assert data["converged"] is True
     assert data["trials"] >= data["iterations"]

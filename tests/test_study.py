@@ -118,7 +118,7 @@ def test_run_sweep_final_report_is_the_last_solve(warm_start):
     last = res.records[-1]
     assert res.final_report.iterations == last.iters
     assert res.final_report.energy == last.J_ell
-    assert res.final_grid.node_count == last.nodes
+    assert res.final_field.grid.node_count == last.nodes
 
 
 def test_run_sweep_deterministic():
@@ -247,7 +247,7 @@ def test_record_matches_the_full_grid_formula(cs, ell, h, ell0, density, load, a
     res = run_sweep(_sweep_config(
         cross_section=cs, ells=(ell,), target_h=h, ell0=ell0, density=density, load=load
     ))
-    u, grid, rec = res.final_field, res.final_grid, res.records[0]
+    u, grid, rec = res.final_field, res.final_field.grid, res.records[0]
     assert res.final_report.mirror_axes == axes
     p = density.p
     ext = extend_vertical(res.limit, grid)
@@ -277,7 +277,7 @@ def test_centroid_tie_core_is_not_mirror_symmetric():
 
 def test_decay_profile_partition_and_monotonicity():
     res = run_sweep(_sweep_config(ells=(4.0,)))
-    u, grid, w = res.final_field, res.final_grid, res.limit
+    u, grid, w = res.final_field, res.final_field.grid, res.limit
     ext = extend_vertical(w, grid)
     prof = decay_profile(u, ext, 2.0, [1.0, 2.0, 3.0, 4.0])
     assert np.all(np.diff(prof.g) >= -1e-15)
@@ -295,7 +295,7 @@ def test_decay_profile_partition_and_monotonicity():
 
 def test_decay_profile_validation():
     res = run_sweep(_sweep_config(ells=(2.0,)))
-    ext = extend_vertical(res.limit, res.final_grid)
+    ext = extend_vertical(res.limit, res.final_field.grid)
     with pytest.raises(ValueError, match="at least one level"):
         decay_profile(res.final_field, ext, 2.0, [])
     with pytest.raises(ValueError, match="positive"):
@@ -418,3 +418,12 @@ def test_records_csv_schema():
     assert len(row) == len(SWEEP_CSV_HEADER.split(","))
     assert float(row[0]) == 2.0
     assert row[6] == "1"
+
+
+def test_sweep_csv_header_is_the_documented_schema():
+    # the header is derived from SweepRecord's fields, so reordering or
+    # renaming a field would change the published schema; this pins it
+    assert SWEEP_CSV_HEADER == (
+        "ell,ell0,h_horiz,h_vert,nodes,iters,converged,J_ell,"
+        "total_grad_energy,err_grad_p,err_w1p,hgrad_p,runtime_ms"
+    )
