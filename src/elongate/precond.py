@@ -4,7 +4,10 @@ With one centroid quadrature point the Hessian of ``|grad u|^2 / 2`` on
 a grid's bounding box is diagonalized by sine vectors (fast
 diagonalization, Lynch, Rice & Thomas 1964), so its inverse is applied
 by one sine transform along every axis: a precomputed dense sine matrix
-on short axes, ``rfft`` on long ones.  On a grid with masked cells (a
+on short axes, a real FFT on long ones.  A long halved axis of ``j``
+nodes takes its odd modes as a DCT-III, and back a DCT-II, each from one
+real FFT of length ``j`` (Makhoul 1980); a long whole axis a zero-padded
+``rfft`` of twice its cell count.  On a grid with masked cells (a
 ball cross-section) a capacitance-matrix correction, one small dense
 matrix per vertical sine mode, makes the inverse exact on the masked
 grid too; it is built from a closed-form 1-D Green's function and split
@@ -61,16 +64,48 @@ def _sine_matrix(cells: int, half: bool) -> np.ndarray:
     return q
 
 
-def _sine_sums(values: np.ndarray, length: int, place: slice, take: slice, out: np.ndarray) -> None:
-    """``out = sum_j values_j sin(2 pi k j / length)`` over the middle axis, by ``rfft``.
+def _sine_sums(values: np.ndarray, out: np.ndarray) -> None:
+    """``out_k = sum_i values_i sin(pi k i / N)``, ``i, k = 1 .. N-1``, over the middle axis.
 
-    The values sit at the indices ``place`` of a zero-padded sequence of
-    ``length``; the sums are taken at the indices ``k`` in ``take``.
+    The DST-I of a whole axis of ``N`` cells, from the ``rfft`` of the
+    values zero-padded to length ``2N``; it is its own transpose.
     """
-    pre, _, post = values.shape
-    z = np.zeros((pre, length, post))
-    z[:, place] = values
-    np.negative(np.fft.rfft(z, axis=1).imag[:, take], out=out)
+    pre, j, post = values.shape
+    z = np.zeros((pre, 2 * j + 2, post))
+    z[:, 1:j + 1] = values
+    np.negative(np.fft.rfft(z, axis=1).imag[:, 1:j + 1], out=out)
+
+
+def _half_sines(values: np.ndarray, twiddle: np.ndarray, inverse: bool, out: np.ndarray) -> None:
+    """Odd-mode sine sums of a halved axis over the middle axis, by one real FFT of its length.
+
+    On the nodes ``j + s`` of an axis of ``N = 2j`` cells an odd mode ``k
+    = 2m + 1`` is ``sin(pi k (j + s) / N) = (-1)^m cos(pi k s / N)``, so
+    ``out_m = sum_s values_s sin(pi k (j + s) / N)`` is a DCT-III: one
+    ``irfft`` of length ``j`` between ``twiddle``, ``(j / 2) e^(i pi t /
+    N)`` over ``t = 0 .. j/2`` with ``t = 0`` doubled, and a reordering
+    (Makhoul 1980).  With ``inverse`` it is the transpose, a DCT-II: the
+    reordering's transpose, one ``rfft`` and ``twiddle = e^(-i pi t / N)``.
+    """
+    j = values.shape[1]
+    h, mirrored = j // 2, slice(j - 1, (j - 1) // 2, -1)  # odd modes, last first
+    if inverse:
+        a = np.empty(values.shape)
+        a[:, :(j + 1) // 2] = values[:, 0::2]
+        np.negative(values[:, 1::2], out=a[:, mirrored])
+        z = np.fft.rfft(a, axis=1)
+        z *= twiddle
+        out[:, :h + 1] = z.real
+        np.negative(z.imag[:, j - h - 1:0:-1], out=out[:, h + 1:])
+    else:
+        z = np.empty((values.shape[0], h + 1, values.shape[2]), complex)
+        z.real = values[:, :h + 1]
+        z.imag[:, 0] = 0.0
+        np.negative(values[:, j - 1:j - h - 1:-1], out=z.imag[:, 1:])
+        z *= twiddle
+        w = np.fft.irfft(z, j, axis=1)
+        out[:, 0::2] = w[:, :(j + 1) // 2]
+        np.negative(w[:, mirrored], out=out[:, 1::2])
 
 
 class _SineAxis:
@@ -79,17 +114,17 @@ class _SineAxis:
     ``transform`` maps the axis's interior nodes ``1 .. N-1`` to its modes
     ``1 .. N-1`` (``modes``), in natural order, and back.  Axes with at
     most ``_DENSE_MAX`` interior nodes use the orthonormal matrix of
-    :func:`_sine_matrix`; longer ones zero-padded ``rfft`` sums of length
-    ``2N``, which scale a round trip by ``N / 2`` (``scale``).  Every
-    index, view shape and matrix orientation is fixed at construction,
-    so a call does only the arithmetic and writes into ``out``.
+    :func:`_sine_matrix`; longer ones the sine sums of :func:`_sine_sums`,
+    which scale a round trip by ``N / 2`` (``scale``).  Every index, view
+    shape, matrix orientation and twiddle is fixed at construction, so a
+    call does only the arithmetic and writes into ``out``.
 
     With ``half`` the axis holds nodes ``N/2 .. N-1`` of a mirror-symmetric
     axis of ``N`` cells, the upper half that the solver keeps (see
     :func:`_halve`).  Only the odd modes, which are even about the
-    midpoint, occur: the odd-mode rows of the matrix, or ``rfft`` sums with
-    the values placed in reverse at ``N/2 .. 1`` (node ``N - i`` mirrors
-    node ``i``).  The factor 2 of the mirror image is left to the caller.
+    midpoint, occur: the odd-mode rows of the matrix, or on a long axis
+    the sums of :func:`_half_sines`, with the same scale.  The factor 2 of
+    the mirror image is left to the caller.
     """
 
     def __init__(self, shape: tuple[int, ...], axis: int, half: bool = False):
@@ -102,7 +137,7 @@ class _SineAxis:
         self.flat = self.shape3[2] == 1
         dense = cells - 1 <= _DENSE_MAX
         self.scale = 1.0 if dense else 0.5 * cells
-        self.products = self.sines = None
+        self.products = self.twiddles = None
         if dense:
             # ``x @ q.T`` on a flat array, ``q @ x`` otherwise, and the
             # transposes for the inverse.  A flat array's ``q.T`` is a
@@ -111,16 +146,19 @@ class _SineAxis:
             q = _sine_matrix(cells, half)
             qt = np.ascontiguousarray(q.T) if self.flat else q.T
             self.products = (qt, q) if self.flat else (q, qt)
-        else:
-            nodes = slice(j, 0, -1) if half else slice(1, cells)
-            modes = slice(1, cells, 1 + half)
-            self.sines = ((nodes, modes), (modes, nodes))
+        elif half:
+            turn = np.exp(1j * np.pi / cells * np.arange(j // 2 + 1))[:, None]  # e^(i pi t / N)
+            forward = 0.5 * j * turn
+            forward[0] *= 2.0
+            self.twiddles = (forward, turn.conj())
 
     def transform(self, x: np.ndarray, out: np.ndarray, inverse: bool = False) -> np.ndarray:
         """Modes of node values, or with ``inverse`` node values of modes."""
         x3, y3 = x.reshape(self.shape3), out.reshape(self.shape3)
-        if self.sines is not None:
-            _sine_sums(x3, 2 * self.cells, *self.sines[inverse], y3)
+        if self.twiddles is not None:
+            _half_sines(x3, self.twiddles[inverse], inverse, y3)
+        elif self.products is None:
+            _sine_sums(x3, y3)
         elif self.flat:
             np.matmul(x3[:, :, 0], self.products[inverse], out=y3[:, :, 0])
         else:

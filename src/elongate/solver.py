@@ -223,11 +223,12 @@ def _mirror_axes(grid: Grid, density: EnergyDensity, f_cells: np.ndarray) -> tup
     """
     if not density.mirror_invariant:
         return ()
+    # an all-True cell mask (no outside cells) is symmetric about every axis
+    fields = (grid.dirichlet, f_cells) if grid.outside_cells is None else (grid.dirichlet, grid.cell_mask, f_cells)
     return tuple(
         a
         for a in range(grid.n)
-        if grid.cell_shape[a] % 2 == 0
-        and all(np.array_equal(v, np.flip(v, a)) for v in (grid.dirichlet, grid.cell_mask, f_cells))
+        if grid.cell_shape[a] % 2 == 0 and all(np.array_equal(v, np.flip(v, a)) for v in fields)
     )
 
 
@@ -403,11 +404,12 @@ def minimality_audit(
     """Check a solved field against a battery of admissible competitors.
 
     Competitors on ``u``'s grid: the field itself, the zero field,
-    far-field cuts that zero the field on a core subdomain, 100 random
-    smooth bumps, and 20 random gauge-ramp blends toward the limit
-    profile ``limit``, extended over the grid.  ``seed`` fixes the bumps
-    and blends.  A violation is a competitor whose energy undercuts the
-    solution's by more than ``10 * grad_tol * max(1, |J|)``.
+    far-field cuts that zero the field on a core subdomain (at up to
+    three distinct levels), 100 random smooth bumps, and 20 random
+    gauge-ramp blends toward the limit profile ``limit``, extended over
+    the grid.  ``seed`` fixes the bumps and blends.  A violation is a
+    competitor whose energy undercuts the solution's by more than ``10 *
+    grad_tol * max(1, |J|)``.
     """
     grid = u.grid
     if grid.r == 0:
@@ -434,7 +436,8 @@ def minimality_audit(
     vshape = (1,) * (grid.n - grid.r)
 
     ell = grid.ell
-    for tc in np.linspace(0.25 * ell, max(0.25 * ell, ell - 1.0), 3):
+    # three levels, which coincide at ell / 4 when ell <= 4/3 (not np.unique: numpy.ma)
+    for tc in dict.fromkeys(np.linspace(0.25 * ell, max(0.25 * ell, ell - 1.0), 3).tolist()):
         sc = min(tc + 1.0, ell)
         if not 0 < tc < sc:
             continue

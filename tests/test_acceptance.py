@@ -191,14 +191,14 @@ def test_a5_hypothesis_audits():
 def test_a6_minimality_audits(a1_run, a4_run):
     reports = []
     for name, (cfg, result, _) in (("A1", a1_run), ("A4", a4_run)):
-        grad_tol = cfg.options.grad_tol if cfg.options.grad_tol is not None else 1e-9
+        # None (A4) resolves to the density's default tolerance, as in the solve
         rep = minimality_audit(
             result.final_field,
             cfg.density,
             cfg.load,
             result.limit,
             seed=606,
-            grad_tol=grad_tol,
+            grad_tol=cfg.options.grad_tol,
         )
         reports.append((name, rep))
     ok = all(rep.violations == 0 for _, rep in reports)

@@ -8,7 +8,8 @@ function or class (``_name``) is referenced somewhere in the package
 outside its own definition.  Every name the benchmark's worker
 (``bench/child.py``) imports from the package exists, and so does every
 attribute, parameter and config key it uses.  Importing the CLI loads no
-thread pool, and no module touches an environment variable.
+thread pool, no FFT and no masked arrays, and no module touches an
+environment variable.
 """
 
 import ast
@@ -16,6 +17,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 import subprocess
 import sys
@@ -143,13 +145,36 @@ def test_module_reads_no_environment_variable(path):
     assert _environment_access(path.read_text(encoding="utf-8")) == []
 
 
+def _loaded_modules(statements: str, modules: tuple[str, ...]) -> list[bool]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``statements``,
+    run with the package's source first on ``sys.path``."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); {statements}; "
+            f"print([m in sys.modules for m in {modules!r}])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
 def test_import_loads_no_thread_pool():
     # sweeps solve in the calling thread, so a fresh interpreter that imports
-    # the CLI has no use for concurrent.futures (~5 ms to import)
-    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import elongate.cli; "
-            "print('concurrent.futures' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # the CLI has no use for concurrent.futures (~5 ms to import); the sine
+    # transforms reach numpy.fft at call time, and nothing needs numpy.ma
+    # (np.unique imports it, ~14 ms)
+    assert _loaded_modules("import elongate.cli", ("concurrent.futures", "numpy.fft", "numpy.ma")) == [False] * 3
+
+
+def test_cli_sweep_with_a_long_axis_loads_numpy_fft_but_not_numpy_ma(tmp_path):
+    # a box of 160 horizontal cells, halved to 80 nodes, takes its long-axis
+    # sine transform from numpy.fft; the sweep, its audit and its fits still
+    # leave numpy.ma unloaded
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "domain": {"r": 1, "cross_section": "box", "ell_list": [5.0], "vertical_halfwidths": [1.0]},
+        "grid": {"target_h": 0.0625},
+        "density": {"kind": "quadratic"},
+    }))
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+    statements = f"import elongate.cli; assert elongate.cli.main({argv!r}) == 0"
+    assert _loaded_modules(statements, ("numpy.fft", "numpy.ma")) == [True, False]
 
 
 def _package_imports(source: str) -> list[tuple[str, str]]:

@@ -27,8 +27,8 @@ from elongate import (
 )
 from elongate.field import _assemble_gradient_arr, _cell_gradients_arr, _load_vector, load_cell_values
 from elongate.density import EnergyDensity
-from elongate.precond import _DENSE_MAX, _SineAxis, _box_inverse, _green_sums, _sines, _swaps
-from elongate.solver import _halve
+from elongate.precond import _DENSE_MAX, _SineAxis, _box_inverse, _green_sums, _sine_matrix, _sines, _swaps
+from elongate.solver import _halve, _mirror_axes
 
 CS1 = CrossSection("box", 1)
 LOAD2 = Load.constant(2.0)
@@ -377,7 +377,7 @@ def test_sine_axis_round_trip(cells):
         assert np.max(np.abs(q @ q - eye)) <= np.finfo(float).eps
 
 
-@pytest.mark.parametrize("cells", [2, 16, 64, 128, 130, 200])
+@pytest.mark.parametrize("cells", [2, 16, 64, 128, 130, 194, 200, 768])
 def test_sine_axis_half_axis_is_the_odd_part(cells):
     # a half axis holds the upper half of a symmetric axis, nodes N/2 ..
     # N-1; mirrored with its mid-plane node doubled (as the solver's
@@ -405,6 +405,36 @@ def test_sine_axis_half_axis_is_the_odd_part(cells):
         got = ax_half.transform(odd, np.empty(shape), inverse=True)
         upper_back = back[along(slice(cells // 2 - 1, None))]
         assert np.max(np.abs(got - upper_back)) <= 1e-13 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("cells", [130, 194, 256, 768])
+def test_long_half_axis_matches_the_odd_mode_matrix(cells):
+    # a halved axis of j = N/2 > _DENSE_MAX / 2 nodes (odd j too) takes its
+    # odd modes from one real FFT of length j: forward and inverse are the
+    # odd-mode rows of the orthonormal DST-I times sqrt(scale) and their
+    # transpose, with the axis in the middle, first and last (flat)
+    # position; with the caller's part, the mirror factor 2 and the
+    # mid-plane node taken once, a round trip is scale times the identity
+    j = cells // 2
+    q = np.sqrt(j) * _sine_matrix(cells, True)
+    x = np.random.default_rng(cells).standard_normal((3, j, 4))
+    for axis, values in ((1, x), (0, x[0]), (1, x[:, :, 0])):
+        ax = _SineAxis(values.shape, axis, half=True)
+        assert ax.products is None and ax.twiddles is not None and ax.scale == j
+        assert np.array_equal(ax.modes, np.arange(1, cells, 2))
+        for inverse, matrix in ((False, q), (True, q.T)):
+            got = ax.transform(values, np.empty(values.shape), inverse)
+            want = np.moveaxis(np.tensordot(matrix, values, axes=(1, axis)), 0, axis)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        mirrored = 2.0 * values
+        mirrored[(slice(None),) * axis + (0,)] *= 0.5
+        modes = ax.transform(mirrored, np.empty(values.shape))
+        back = ax.transform(modes, np.empty(values.shape), inverse=True) / ax.scale
+        assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
+    eye = np.eye(j)
+    ax = _SineAxis(eye.shape, 0, half=True)
+    forward, inverse = (ax.transform(eye, np.empty_like(eye), inverse) for inverse in (False, True))
+    assert np.max(np.abs(inverse - forward.T)) <= 1e-13 * np.max(np.abs(forward))
 
 
 @pytest.mark.parametrize("kind", ["ball", "long-box"])
@@ -642,6 +672,29 @@ def test_mirror_axes():
     assert rep.mirror_axes == [0]
 
 
+def test_mirror_axes_compare_the_cell_mask_only_with_outside_cells():
+    # a grid without outside cells has an all-True cell mask, symmetric
+    # about every axis, so its flip is not compared; the axes are those of
+    # the rule that compares the mask too, on box, ball and odd-count grids
+    grids = [
+        build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8),
+        build_grid(DomainSpec(CS1, 2.0, (0.9,)), 1 / 8),
+        build_grid(DomainSpec(CrossSection("box", 2), 1.0, (0.5,)), 0.25),
+        build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25),
+        build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.375,)), 0.25),
+        build_grid(DomainSpec(CrossSection("ball", 2), 1.125, (0.5,)), 0.25),
+    ]
+    assert [g.outside_cells is None for g in grids] == [True, True, True, False, False, False]
+    assert [g.cell_shape for g in grids] == [(32, 16), (32, 15), (8, 8, 4), (8, 8, 4), (8, 8, 3), (9, 9, 4)]
+    for grid in grids:
+        d = make_density("quadratic", r=grid.r, n=grid.n)
+        for load in (LOAD2, Load.sampled(lambda y: 2.0 + y)):
+            f_cells = load_cell_values(grid, load)
+            want = tuple(a for a in range(grid.n) if grid.cell_shape[a] % 2 == 0 and all(
+                np.array_equal(v, np.flip(v, a)) for v in (grid.dirichlet, grid.cell_mask, f_cells)))
+            assert _mirror_axes(grid, d, f_cells) == want
+
+
 @pytest.mark.parametrize("h", [0.1, 1 / 12, 1 / 20, 1 / 24, 1 / 49, 1 / 98])
 def test_even_sampled_load_halves_the_vertical_axis(h):
     # the vertical cell centroids are sampled mirror-exactly about 0, so a
@@ -792,6 +845,17 @@ def test_minimality_audit_identity_trial_is_exact():
     # identity's, exactly 0
     assert report.trials == 125
     assert (report.worst_trial, report.worst_gap) == ("identity", 0.0)
+
+
+@pytest.mark.parametrize("ell,trials", [(1.0, 123), (1.25, 123), (2.0, 125)])
+def test_minimality_audit_runs_each_far_cut_level_once(ell, trials):
+    # the three far-cut levels run from ell / 4 to max(ell / 4, ell - 1),
+    # so they coincide when ell <= 4/3 and that cut runs once
+    grid = build_grid(DomainSpec(CS1, ell, (1.0,)), 1 / 4)
+    d = make_density("quadratic", r=1, n=2)
+    u, _ = minimize(grid, d, LOAD2)
+    w, _ = solve_limit(build_vertical_grid([1.0], 1 / 4), d, LOAD2)
+    assert minimality_audit(u, d, LOAD2, w).trials == trials
 
 
 def test_minimality_audit_flags_nonminimizer():
