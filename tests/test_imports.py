@@ -162,18 +162,19 @@ def test_import_loads_no_thread_pool():
     assert _loaded_modules("import elongate.cli", ("concurrent.futures", "numpy.fft", "numpy.ma")) == [False] * 3
 
 
-def test_cli_sweep_with_a_long_axis_loads_numpy_fft_but_not_numpy_ma(tmp_path):
+def test_cli_with_a_long_axis_loads_numpy_fft_but_not_numpy_ma(tmp_path):
     # a box of 160 horizontal cells, halved to 80 nodes, takes its long-axis
-    # sine transform from numpy.fft; the sweep, its audit and its fits still
-    # leave numpy.ma unloaded
+    # sine transform from numpy.fft; a sweep with its fits and a solve with
+    # its minimality audit still leave numpy.ma unloaded
     config = tmp_path / "c.json"
     config.write_text(json.dumps({
         "domain": {"r": 1, "cross_section": "box", "ell_list": [5.0], "vertical_halfwidths": [1.0]},
         "grid": {"target_h": 0.0625},
         "density": {"kind": "quadratic"},
     }))
-    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
-    statements = f"import elongate.cli; assert elongate.cli.main({argv!r}) == 0"
+    statements = "import elongate.cli" + "".join(
+        f"; assert elongate.cli.main({[command, '--config', str(config), '--out', str(tmp_path / command)]!r}) == 0"
+        for command in ("sweep", "solve"))
     assert _loaded_modules(statements, ("numpy.fft", "numpy.ma")) == [True, False]
 
 
