@@ -9,7 +9,6 @@ from .density import (
     audit_convexity_midpoint,
     audit_growth,
     audit_uniform_strict_convexity,
-    find_beta,
     make_density,
 )
 from .field import (
@@ -20,7 +19,6 @@ from .field import (
     cell_gradients,
     cell_means,
     extend_vertical,
-    load_field,
     lp_norm_p,
     poincare_ratio,
     save_field,

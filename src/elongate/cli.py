@@ -30,12 +30,13 @@ from .density import (
     audit_uniform_strict_convexity,
     make_density,
 )
-from .field import Load, extend_vertical, save_field
+from .field import Load, save_field
 from .geometry import CrossSection, DomainSpec, build_grid
 from .ioutil import atomic_write_text
 from .solver import SolveOptions, minimality_audit
 from .study import (
     SweepConfig,
+    _fit_series,
     convergence_verdicts,
     decay_profile,
     fit_rate,
@@ -202,7 +203,7 @@ def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
         {
             "ell": ell,
             "p": sweep.density.p,
-            "load_conjugate_exponent": Load.conjugate_exponent(sweep.density.p),
+            "load_conjugate_exponent": sweep.density.p / (sweep.density.p - 1.0),
             "solve": rep,
             "limit": wrep,
         },
@@ -229,14 +230,12 @@ def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
         print("solver failures dominate the sweep", file=sys.stderr)
         return EXIT_SOLVER
 
-    p = sweep.density.p
     floor = rc["study"]["floor"]
     if floor is None:
         # default floor: well above the final solve's own stopping threshold
         floor = 100.0 * result.final_report.grad_tol_abs
     floor = float(floor)
-    points = {"power": [(r.ell, r.err_w1p) for r in good],
-              "exponential": [(r.ell, r.err_grad_p ** (1.0 / p)) for r in good]}
+    points = {m: _fit_series(good, m, sweep.density.p) for m in _FIT_MODELS}
     fits = {m: fit_rate(points[m], m, floor) for m in _FIT_MODELS if m in rc["study"]["fit_models"]}
     _emit_json(os.path.join(out, "fits.json"), fits)
 
@@ -265,8 +264,7 @@ def cmd_profile(rc: dict, sweep: SweepConfig, out: str) -> int:
         print("solver did not converge", file=sys.stderr)
         return EXIT_SOLVER
     t_values = np.arange(1.0, math.floor(ell) + 1.0)
-    limit_ext = extend_vertical(result.limit, result.final_field.grid)
-    profile = decay_profile(result.final_field, limit_ext, sweep.density.p, t_values)
+    profile = decay_profile(result.final_field, result.limit, sweep.density.p, t_values)
     os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
     atomic_write_text(os.path.join(out, "profile.csv"), profile.to_csv())

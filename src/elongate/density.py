@@ -417,7 +417,17 @@ def audit_growth(d: EnergyDensity, samples: int, seed: int) -> HypothesisReport:
     return _make_report("growth-and-coercivity", margins, witness)
 
 
-def _usc_margins(d: EnergyDensity, beta: float, samples: int, seed: int):
+def audit_uniform_strict_convexity(d: EnergyDensity, samples: int, seed: int) -> HypothesisReport:
+    """Sample the quantitative convexity excess of the vertical density.
+
+    Checks ``F_v(th a + mu b) <= th F_v(a) + mu F_v(b)
+    - beta th mu (th^(p-1) + mu^(p-1)) |a - b|^p`` at random pairs and
+    convex weights.  Rejected when the density claims no ``beta``.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if d.beta <= 0:
+        raise ValueError("density declares no uniform-strict-convexity constant (beta = 0)")
     rng = np.random.default_rng(seed)
     dim = d.n - d.r
     a = _sample_points(rng, samples, dim)
@@ -426,7 +436,7 @@ def _usc_margins(d: EnergyDensity, beta: float, samples: int, seed: int):
     mu = 1.0 - theta
     Fa, Fb = d.vertical(a), d.vertical(b)
     lhs = d.vertical(theta[:, None] * a + mu[:, None] * b)
-    excess = beta * theta * mu * (theta ** (d.p - 1) + mu ** (d.p - 1)) * np.sqrt(_sq(a - b)) ** d.p
+    excess = d.beta * theta * mu * (theta ** (d.p - 1) + mu ** (d.p - 1)) * np.sqrt(_sq(a - b)) ** d.p
     gap = lhs - (theta * Fa + mu * Fb - excess)
     scale = 1.0 + theta * np.abs(Fa) + mu * np.abs(Fb) + excess
     margins = gap / scale - AUDIT_SLACK
@@ -440,21 +450,6 @@ def _usc_margins(d: EnergyDensity, beta: float, samples: int, seed: int):
             "margin": float(margins[i]),
         }
 
-    return margins, witness
-
-
-def audit_uniform_strict_convexity(d: EnergyDensity, samples: int, seed: int) -> HypothesisReport:
-    """Sample the quantitative convexity excess of the vertical density.
-
-    Checks ``F_v(th a + mu b) <= th F_v(a) + mu F_v(b)
-    - beta th mu (th^(p-1) + mu^(p-1)) |a - b|^p`` at random pairs and
-    convex weights.  Rejected when the density claims no ``beta``.
-    """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if d.beta <= 0:
-        raise ValueError("density declares no uniform-strict-convexity constant (beta = 0)")
-    margins, witness = _usc_margins(d, d.beta, samples, seed)
     return _make_report("uniform-strict-convexity", margins, witness)
 
 
@@ -475,24 +470,3 @@ def audit_convexity_midpoint(d: EnergyDensity, samples: int, seed: int) -> Hypot
 
     return _make_report("midpoint-convexity", margins, witness)
 
-
-def find_beta(d: EnergyDensity, samples: int = 2000, seed: int = 0, hi: float = 4.0) -> float:
-    """Largest empirically valid uniform-strict-convexity constant (bisection).
-
-    Reported, not certified: the value only reflects the sampled pairs.
-    """
-
-    def feasible(beta: float) -> bool:
-        margins, _witness = _usc_margins(d, beta, samples, seed)
-        return bool(np.all(margins <= 0))
-
-    lo = 0.0
-    if feasible(hi):
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo

@@ -50,16 +50,6 @@ class Load:
             return np.full(shape, self.value)
         return np.broadcast_to(np.asarray(self.profile(*coords), dtype=float), shape)
 
-    def max_abs(self, grid: Grid) -> float:
-        """Sup of |load| over the vertical cell centroids (the solver's scale)."""
-        if self.kind == "constant":
-            return abs(self.value)
-        return float(np.max(np.abs(self.evaluate(*_vertical_centers(grid)))))
-
-    @staticmethod
-    def conjugate_exponent(p: float) -> float:
-        return p / (p - 1.0)
-
 
 class ScalarField:
     """Nodal values on a grid, zero at every Dirichlet-fixed node.
@@ -83,15 +73,6 @@ class ScalarField:
 
     def __setattr__(self, name, value):  # immutable by contract
         raise AttributeError("ScalarField is immutable")
-
-    @staticmethod
-    def zeros(grid: Grid) -> "ScalarField":
-        return ScalarField(grid, np.zeros(grid.shape))
-
-    @staticmethod
-    def from_function(grid: Grid, fn: Callable[..., np.ndarray], *, project: bool = True) -> "ScalarField":
-        vals = np.broadcast_to(np.asarray(fn(*grid.node_meshgrid()), dtype=float), grid.shape)
-        return ScalarField(grid, vals, project=project)
 
 
 def _cell_means_arr(values: np.ndarray) -> np.ndarray:
@@ -296,12 +277,12 @@ def _norm_p(grid: Grid, values, p: float, weights: np.ndarray) -> float:
     return float(grid.cell_volume * np.sum(weights[keep] * mag[keep] ** p))
 
 
-def extend_vertical(w: ScalarField, grid: Grid) -> ScalarField:
-    """Extend a vertical profile to a full grid, constant along horizontal axes.
+def _vertical_on(w: ScalarField, grid: Grid, nodes: tuple[slice, ...]) -> np.ndarray:
+    """A vertical profile ``w`` extended over a slab of ``grid``'s nodes,
+    constant along horizontal axes and zero on Dirichlet nodes.
 
     Requires identical vertical node coordinates (spacing rule of
-    :func:`~elongate.geometry.build_vertical_grid` guarantees this); the
-    result is re-zeroed on the full grid's Dirichlet nodes.
+    :func:`~elongate.geometry.build_vertical_grid` guarantees this).
     """
     wg = w.grid
     if wg.r != 0 or wg.n != grid.n - grid.r:
@@ -314,7 +295,12 @@ def extend_vertical(w: ScalarField, grid: Grid) -> ScalarField:
             or abs(grid.h[a] - wg.h[j]) > 1e-12 * wg.h[j]
         ):
             raise ValueError("vertical axes differ between the grids")
-    return ScalarField(grid, np.broadcast_to(w.values, grid.shape))
+    return np.where(grid.dirichlet[nodes], 0.0, w.values[nodes[grid.r:]])
+
+
+def extend_vertical(w: ScalarField, grid: Grid) -> ScalarField:
+    """Extend a vertical profile to a full grid (:func:`_vertical_on` over every node)."""
+    return ScalarField(grid, _vertical_on(w, grid, (slice(None),) * grid.n))
 
 
 def poincare_ratio(v: ScalarField, p: float) -> float:
@@ -347,15 +333,12 @@ def sup_error(v: ScalarField, fn: Callable[..., np.ndarray]) -> float:
     return float(max(node_err, cell_err))
 
 
-FIELD_FORMAT = "raw-float64-le"
-
-
 def save_field(v: ScalarField, prefix: str) -> None:
     """Dump nodal values to ``prefix.bin`` (little-endian float64, C order)
     with a JSON header at ``prefix.json``."""
     grid = v.grid
     header = {
-        "format": FIELD_FORMAT,
+        "format": "raw-float64-le",
         "shape": list(grid.shape),
         "lo": list(grid.lo),
         "h": list(grid.h),
@@ -365,12 +348,3 @@ def save_field(v: ScalarField, prefix: str) -> None:
     atomic_write_bytes(prefix + ".bin", np.ascontiguousarray(v.values, dtype="<f8").tobytes())
     atomic_write_text(prefix + ".json", json.dumps(header, indent=2) + "\n")
 
-
-def load_field(prefix: str) -> tuple[np.ndarray, dict]:
-    """Read back a field dump; returns the nodal values and the header."""
-    with open(prefix + ".json", "r", encoding="utf-8") as fh:
-        header = json.load(fh)
-    if header.get("format") != FIELD_FORMAT:
-        raise ValueError(f"unsupported field format {header.get('format')!r}")
-    raw = np.fromfile(prefix + ".bin", dtype="<f8")
-    return raw.reshape(tuple(header["shape"])).astype(float), header

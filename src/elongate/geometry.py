@@ -45,21 +45,6 @@ class CrossSection:
         if self.r < 1:
             raise ValueError("cross-section needs at least one axis")
 
-    @property
-    def lipschitz_K(self) -> float:
-        """Euclidean Lipschitz constant of the gauge (loose for the box)."""
-        return math.sqrt(self.r) if self.shape == "box" else 1.0
-
-    @property
-    def r1(self) -> float:
-        """Lower norm-equivalence constant: ``r1 * |x'| <= gauge(x')``."""
-        return 1.0 / math.sqrt(self.r) if self.shape == "box" else 1.0
-
-    @property
-    def r2(self) -> float:
-        """Upper norm-equivalence constant: ``gauge(x') <= r2 * |x'|``."""
-        return 1.0
-
 
 def _dot(a, b) -> np.ndarray:
     """Sum of ``a * b`` over the last axis, written out component by component.
@@ -190,10 +175,6 @@ class Grid:
     @property
     def node_count(self) -> int:
         return int(np.prod(self.shape))
-
-    @property
-    def interior(self) -> np.ndarray:
-        return ~self.dirichlet
 
     def axis_nodes(self, a: int) -> np.ndarray:
         return self.lo[a] + self.h[a] * np.arange(self.shape[a])

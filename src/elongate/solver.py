@@ -316,8 +316,8 @@ def minimize(
     if density.n != grid.n:
         raise ValueError(f"density acts on {density.n} components, grid has {grid.n}")
     grad_tol = opts.grad_tol if opts.grad_tol is not None else default_grad_tol(density)
-    tol = grad_tol * load.max_abs(grid) * grid.cell_volume
     f_cells = load_cell_values(grid, load)
+    tol = grad_tol * float(np.max(np.abs(f_cells))) * grid.cell_volume
     axes = _mirror_axes(grid, density, f_cells)
     half, f_half = _halve(grid, axes), _upper_half(f_cells, axes)
 

@@ -26,6 +26,7 @@ from .field import (
     _cell_gradients_arr,
     _cell_means_arr,
     _norm_p,
+    _vertical_on,
 )
 from .geometry import CrossSection, DomainSpec, Grid, build_grid, build_vertical_grid
 from .solver import SolveOptions, SolveReport, _upper_half, minimize, solve_limit
@@ -152,7 +153,7 @@ def _measure(grid: Grid, u: ScalarField, rep: SolveReport, w: ScalarField, wrep:
     total = 2 ** len(axes) * _norm_p(grid, g_half, p, _upper_half(grid.cell_mask, axes))
     nodes, weights = _core_slab(grid, ell0, tuple(a for a in axes if a < r or a - r in wrep.mirror_axes))
     vals = u.values[nodes]
-    ext = np.where(grid.dirichlet[nodes], 0.0, w.values[nodes[r:]])
+    ext = _vertical_on(w, grid, nodes)
     gu = _cell_gradients_arr(grid, vals)
     err_grad_p = _norm_p(grid, gu - _cell_gradients_arr(grid, ext), p, weights)
     err_val_p = _norm_p(grid, _cell_means_arr(vals) - _cell_means_arr(ext), p, weights)
@@ -213,15 +214,18 @@ class Profile:
         return "".join(f"{row}\n" for row in ["t,g", *rows])
 
 
-def decay_profile(u: ScalarField, limit_ext: ScalarField, p: float, t_values: Sequence[float]) -> Profile:
-    """Measure the decay profile over ascending core levels.
+def decay_profile(u: ScalarField, w: ScalarField, p: float, t_values: Sequence[float]) -> Profile:
+    """Measure the decay profile against the vertical limit ``w`` over ascending core levels.
 
     ``g(t)`` integrates nonnegative densities over nested regions, so it
     is nondecreasing in ``t``; successive ratios expose the geometric
     contraction behind exponential decay.  Only the nodes of the core's
-    bounding slab at the largest ``t`` are read.
+    bounding slab at the largest ``t`` are read, and ``w`` is extended
+    over that slab alone.
     """
     t_values = np.asarray(sorted(float(t) for t in t_values))
+    if bad := [t for t in t_values.tolist() if not math.isfinite(t)]:
+        raise ValueError(f"t values must be finite, got {bad[0]!r}")
     if t_values.size == 0:
         raise ValueError("decay_profile needs at least one level t")
     if t_values[0] <= 0:
@@ -229,7 +233,7 @@ def decay_profile(u: ScalarField, limit_ext: ScalarField, p: float, t_values: Se
     grid, r = u.grid, u.grid.r
     outer, _ = _core_slab(grid, t_values[-1])
     gu = _cell_gradients_arr(grid, u.values[outer])
-    gv = gu[..., r:] - _cell_gradients_arr(grid, limit_ext.values[outer])[..., r:]
+    gv = gu[..., r:] - _cell_gradients_arr(grid, _vertical_on(w, grid, outer))[..., r:]
     g = np.empty(t_values.shape)
     for i, t in enumerate(t_values):
         nodes, weights = _core_slab(grid, t)
@@ -257,11 +261,21 @@ class RateFit:
     ok: bool
 
 
+def _fit_series(records: Sequence[SweepRecord], model: str, p: float) -> list[tuple[float, float]]:
+    """The ``(ell, error)`` points a rate model fits: ``err_w1p`` for the power
+    model, ``err_grad_p ** (1/p)`` for the exponential one."""
+    if model == "power":
+        return [(rec.ell, rec.err_w1p) for rec in records]
+    return [(rec.ell, rec.err_grad_p ** (1.0 / p)) for rec in records]
+
+
 def fit_rate(points: Sequence[tuple[float, float]], model: str, floor: float = 0.0) -> RateFit:
     """Least squares in log coordinates over the points above the floor."""
     if model not in ("power", "exponential"):
         raise ValueError(f"unknown rate model {model!r}")
     pts = [(float(l), float(e)) for l, e in points]
+    if bad := [l for l, _ in pts if not math.isfinite(l)]:
+        raise ValueError(f"elongations must be finite, got {bad[0]!r}")
     usable = [(l, e) for l, e in pts if np.isfinite(e) and e > max(floor, 0.0)]
     if len(usable) < 3:
         return RateFit(model, float("nan"), float("nan"), float("nan"), len(usable), floor, False)
@@ -363,7 +377,7 @@ def convergence_verdicts(
     if 0 < k < p and r < k * p / (p - k):
         target = power_rate_target(density, r)
         verdicts.append(_rate_verdict(
-            "power", fits, (rec.err_w1p for rec in good), {"target": target},
+            "power", fits, _fit_series(good, "power", p), {"target": target},
             lambda f: (f.n_points >= 3 and f.r2 >= _POWER_R2_MIN and f.exponent <= target + _POWER_SLACK,
                        {"exponent": f.exponent, "target": target, "r2": f.r2, "n_points": f.n_points}),
         ))
@@ -371,7 +385,7 @@ def convergence_verdicts(
         verdicts.append(Verdict("power_rate", False, None, {}, "needs 0 < k < p and r < k p/(p-k)"))
     if k == 0 and density.beta > 0:
         verdicts.append(_rate_verdict(
-            "exponential", fits, (rec.err_grad_p ** (1.0 / p) for rec in good), {},
+            "exponential", fits, _fit_series(good, "exponential", p), {},
             lambda f: (f.exponent > 0 and f.r2 >= _EXP_R2_MIN,
                        {"rate": f.exponent, "r2": f.r2, "n_points": f.n_points}),
         ))
@@ -380,17 +394,17 @@ def convergence_verdicts(
     return verdicts
 
 
-def _rate_verdict(model: str, fits: dict[str, RateFit], errors, at_floor: dict, judge) -> Verdict:
-    """An applicable rate verdict on the model's fit: ``judge(fit)`` gives the
-    outcome and measurements of an ok fit; with too few points above the
-    floor it passes when every fitted error is at or below the floor."""
+def _rate_verdict(model: str, fits: dict[str, RateFit], points, at_floor: dict, judge) -> Verdict:
+    """An applicable rate verdict on the model's fit to ``points``: ``judge(fit)``
+    gives the outcome and measurements of an ok fit; with too few points above
+    the floor it passes when every fitted error is at or below the floor."""
     name, fit = f"{model}_rate", fits.get(model)
     if fit is None:
         return Verdict(name, True, None, {}, f"no {model} fit supplied")
     if fit.ok:
         ok, measured = judge(fit)
         return Verdict(name, True, bool(ok), measured)
-    if max(errors, default=math.nan) <= fit.floor:
+    if points and all(e <= fit.floor for _, e in points):  # a NaN error is not at the floor
         return Verdict(name, True, True, at_floor, "all points at the fit floor")
     return Verdict(name, True, None, {"n_points": fit.n_points}, "insufficient data")
 

@@ -267,6 +267,16 @@ def test_solve_writes_artifacts(tmp_path):
         assert 0.0 <= report[name]["precond_s"] <= report[name]["wall_time"]
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_solve_report_gives_the_load_conjugate_exponent(tmp_path, p):
+    cfg = _write_config(tmp_path / "c.json", domain={"ell_list": [2.0]}, density={"kind": "p-dirichlet", "p": p},
+                        solver={"grad_tol": None})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "solve-report.json").read_text())
+    assert (report["p"], report["load_conjugate_exponent"]) == (p, p / (p - 1))
+
+
 def test_artifacts_get_the_mode_of_a_plain_open(tmp_path):
     # 0o666 less the umask, as open(path, "w") gives, for text and binary
     # artifacts alike; no temporary file is left behind

@@ -10,7 +10,6 @@ from elongate import (
     audit_convexity_midpoint,
     audit_growth,
     audit_uniform_strict_convexity,
-    find_beta,
     make_density,
 )
 
@@ -303,10 +302,6 @@ def test_audits_deterministic():
     r2 = audit_growth(P4, 5000, seed=42)
     assert r1 == r2
     assert r1 != audit_growth(P4, 5000, seed=43)
-
-
-def test_find_beta_recovers_quadratic_constant():
-    assert find_beta(Q, samples=2000, seed=1) == pytest.approx(0.5, rel=0.05)
 
 
 def test_builtin_parameter_table():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,15 +8,16 @@ from elongate import (
     DomainSpec,
     Load,
     ScalarField,
+    SolveOptions,
     assemble_energy,
     assemble_energy_gradient,
     build_grid,
     build_vertical_grid,
     cell_gradients,
     extend_vertical,
-    load_field,
     lp_norm_p,
     make_density,
+    minimize,
     poincare_ratio,
     region_cells,
     save_field,
@@ -30,7 +33,7 @@ def _grid(ell=2.0, halfwidths=(1.0,), h=0.5):
 
 def test_cell_gradient_affine_exactness():
     grid = _grid()
-    v = ScalarField.from_function(grid, lambda x, y: x, project=False)
+    v = ScalarField(grid, np.broadcast_to(grid.node_meshgrid()[0], grid.shape), project=False)
     g = cell_gradients(v)
     assert np.allclose(g[..., 0], 1.0, atol=1e-13)
     assert np.allclose(g[..., 1], 0.0, atol=1e-13)
@@ -68,12 +71,12 @@ def test_cell_gradient_single_cell_formula():
 def test_energy_of_zero_field(kind, p):
     grid = _grid()
     d = make_density(kind, p, r=1, n=2)
-    assert assemble_energy(ScalarField.zeros(grid), d, Load.constant(5.0)) == 0.0
+    assert assemble_energy(ScalarField(grid, np.zeros(grid.shape)), d, Load.constant(5.0)) == 0.0
 
 
 def test_energy_unit_cell_example():
     grid = build_grid(DomainSpec(CS1, 0.5, (0.5,)), 1.0)
-    v = ScalarField.from_function(grid, lambda x, y: x, project=False)
+    v = ScalarField(grid, np.broadcast_to(grid.node_meshgrid()[0], grid.shape), project=False)
     d = make_density("quadratic", r=1, n=2)
     assert assemble_energy(v, d, Load.constant(0.0)) == pytest.approx(0.5)
 
@@ -82,7 +85,7 @@ def test_energy_dimension_mismatch():
     grid = _grid()
     d = make_density("quadratic", r=1, n=3)
     with pytest.raises(ValueError):
-        assemble_energy(ScalarField.zeros(grid), d, Load.constant(1.0))
+        assemble_energy(ScalarField(grid, np.zeros(grid.shape)), d, Load.constant(1.0))
 
 
 @pytest.mark.parametrize("kind,p", [("quadratic", None), ("p-dirichlet", 4.0), ("separable-p", 4.0)])
@@ -95,7 +98,7 @@ def test_energy_gradient_matches_finite_differences(kind, p):
     g = assemble_energy_gradient(v, d, load)
     assert np.all(g[grid.dirichlet] == 0.0)
     step = 1e-6 * max(1.0, float(np.max(np.abs(v.values))))
-    interior = np.argwhere(grid.interior)
+    interior = np.argwhere(~grid.dirichlet)
     for i, j in interior[rng.integers(0, len(interior), 20)]:
         vp = np.array(v.values)
         vp[i, j] += step
@@ -119,7 +122,7 @@ def test_energy_gradient_matches_finite_differences_on_ball_grid():
     v = ScalarField(grid, rng.standard_normal(grid.shape))
     g = assemble_energy_gradient(v, d, load)
     step = 1e-6 * max(1.0, float(np.max(np.abs(v.values))))
-    for idx in map(tuple, np.argwhere(grid.interior)):
+    for idx in map(tuple, np.argwhere(~grid.dirichlet)):
         vp = np.array(v.values)
         vp[idx] += step
         vm = np.array(v.values)
@@ -165,7 +168,7 @@ def test_lp_norm_region_additivity():
 
 def test_lp_norm_gradient_example():
     grid = _grid(ell=1.0, h=0.25)
-    v = ScalarField.from_function(grid, lambda x, y: x, project=False)
+    v = ScalarField(grid, np.broadcast_to(grid.node_meshgrid()[0], grid.shape), project=False)
     assert lp_norm_p(grid, cell_gradients(v), 2.0) == pytest.approx(4.0)
 
 
@@ -181,34 +184,34 @@ def test_lp_norm_validation():
 def test_extend_vertical_constant_in_horizontal():
     grid = _grid(ell=3.0, h=0.25)
     vg = build_vertical_grid([1.0], 0.25)
-    w = ScalarField.from_function(vg, lambda y: 1 - y * y)
+    w = ScalarField(vg, 1 - vg.axis_nodes(0) ** 2)
     ext = extend_vertical(w, grid)
     g = cell_gradients(ext)
     assert np.allclose(g[1:-1, :, 0], 0.0, atol=1e-13)  # away from the lateral layer
     mid = grid.shape[0] // 2
     assert np.allclose(ext.values[mid], w.values)
-    assert np.all(extend_vertical(ScalarField.zeros(vg), grid).values == 0.0)
+    assert np.all(extend_vertical(ScalarField(vg, np.zeros(vg.shape)), grid).values == 0.0)
 
 
 def test_extend_vertical_rejects_mismatched_axes():
     grid = _grid(ell=3.0, h=0.25)
     other = build_vertical_grid([1.0], 0.2)
     with pytest.raises(ValueError):
-        extend_vertical(ScalarField.zeros(other), grid)
+        extend_vertical(ScalarField(other, np.zeros(other.shape)), grid)
 
 
 def test_poincare_zero_field_convention():
     grid = _grid()
-    assert poincare_ratio(ScalarField.zeros(grid), 2.0) == 0.0
+    assert poincare_ratio(ScalarField(grid, np.zeros(grid.shape)), 2.0) == 0.0
 
 
 def test_poincare_eigenfunction_ratio():
     # sharp constant 2/pi from the lowest vertical eigenvalue (pi/2)^2
     vg = build_vertical_grid([1.0], 1 / 32)
-    w = ScalarField.from_function(vg, lambda y: np.cos(np.pi * y / 2))
+    w = ScalarField(vg, np.cos(np.pi * vg.axis_nodes(0) / 2))
     assert poincare_ratio(w, 2.0) == pytest.approx(2 / np.pi, rel=0.02)
     grid = _grid(ell=4.0, h=1 / 32)
-    ext = ScalarField.from_function(grid, lambda x, y: np.cos(np.pi * y / 2))
+    ext = ScalarField(grid, np.broadcast_to(np.cos(np.pi * grid.axis_nodes(1) / 2), grid.shape))
     assert poincare_ratio(ext, 2.0) == pytest.approx(2 / np.pi, rel=0.02)
 
 
@@ -239,21 +242,28 @@ def test_field_dump_round_trip(tmp_path):
     v = ScalarField(grid, rng.standard_normal(grid.shape))
     prefix = str(tmp_path / "field")
     save_field(v, prefix)
-    vals, header = load_field(prefix)
-    assert np.array_equal(vals, v.values)
+    # the on-disk format itself: raw little-endian float64 in C order, and
+    # a JSON header that names it
+    with open(prefix + ".json", encoding="utf-8") as fh:
+        header = json.load(fh)
+    assert header["format"] == "raw-float64-le"
     assert header["shape"] == list(grid.shape)
     assert header["h"] == list(grid.h)
+    vals = np.fromfile(prefix + ".bin", dtype="<f8").reshape(header["shape"])
+    assert np.array_equal(vals, v.values)
 
 
 def test_load_evaluate():
     grid = _grid()
-    const = Load.constant(2.0)
-    assert const.max_abs(grid) == 2.0
+    d = make_density("quadratic", r=1, n=2)
+    opts = SolveOptions(grad_tol=1e-6)
     prof = Load.sampled(lambda y: y * y)
     ys = grid.axis_centers(1)
     assert np.allclose(prof.evaluate(ys), ys**2)
-    assert prof.max_abs(grid) == pytest.approx(float(np.max(ys**2)))
-    assert Load.conjugate_exponent(4.0) == pytest.approx(4 / 3)
+    # the solve's stopping threshold scales with sup|load| at the vertical centroids
+    for load, sup in ((Load.constant(-2.0), 2.0), (prof, float(np.max(ys**2)))):
+        _, rep = minimize(grid, d, load, opts)
+        assert rep.grad_tol_abs == 1e-6 * sup * grid.cell_volume
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

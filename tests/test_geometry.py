@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,12 +52,15 @@ def test_gauge_lipschitz_and_norm_equivalence(cs):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((1000, cs.r)) * 3
     y = rng.standard_normal((1000, cs.r)) * 3
+    # the Euclidean Lipschitz constant K and the norm-equivalence constants
+    # r1 |x| <= gauge(x) <= r2 |x|: sqrt(r), 1/sqrt(r) and 1 for the box
+    lipschitz_K, r1, r2 = (math.sqrt(cs.r), 1.0 / math.sqrt(cs.r), 1.0) if cs.shape == "box" else (1.0, 1.0, 1.0)
     gx, gy = gauge(cs, x), gauge(cs, y)
     dist = np.sqrt(((x - y) ** 2).sum(axis=1))
-    assert np.all(np.abs(gx - gy) <= cs.lipschitz_K * dist + 1e-12)
+    assert np.all(np.abs(gx - gy) <= lipschitz_K * dist + 1e-12)
     nx = np.sqrt((x * x).sum(axis=1))
-    assert np.all(cs.r1 * nx <= gx + 1e-12)
-    assert np.all(gx <= cs.r2 * nx + 1e-12)
+    assert np.all(r1 * nx <= gx + 1e-12)
+    assert np.all(gx <= r2 * nx + 1e-12)
 
 
 def test_cutoff_plateau_and_support():

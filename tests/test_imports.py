@@ -5,11 +5,12 @@ left out: its imports are the package's re-exports), and every module
 imports only the standard library, ``numpy`` and ``elongate`` itself:
 numpy is the only runtime dependency.  Every module-level private
 function or class (``_name``) is referenced somewhere in the package
-outside its own definition.  Every name the benchmark's worker
-(``bench/child.py``) imports from the package exists, and so does every
-attribute, parameter and config key it uses.  Importing the CLI loads no
-thread pool, no FFT and no masked arrays, and no module touches an
-environment variable.
+outside its own definition, and so is every exported name, in the package
+or the benchmark, except the oracles the tests compare against.  Every
+name the benchmark's worker (``bench/child.py``) imports from the package
+exists, and so does every attribute, parameter and config key it uses.
+Importing the CLI loads no thread pool, no FFT and no masked arrays, and
+no module touches an environment variable.
 """
 
 import ast
@@ -80,24 +81,35 @@ def test_module_imports_only_numpy_and_the_standard_library(path):
     assert _foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _used_names(source: str) -> set[str]:
+    """Every name, attribute and imported name in ``source``, except the name
+    of a module-level function or class inside its own definition."""
+    used = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None) if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            name = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if name is not None and name != owner:
+                used.add(name)
+    return used
+
+
 def _dead_helpers(sources: dict[str, str]) -> list[str]:
     """Module-level ``_name`` functions and classes that no code outside their
     own definition refers to, by name, attribute or import, in any module."""
-    defined, used = [], set()
-    for module, source in sources.items():
-        for top in ast.parse(source).body:
-            owner = getattr(top, "name", None) if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            if owner and owner.startswith("_") and not owner.startswith("__"):
-                defined.append((module, owner))
-            for node in ast.walk(top):
-                name = (
-                    node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias)
-                    else None
-                )
-                if name is not None and name != owner:
-                    used.add(name)
+    used = set().union(*map(_used_names, sources.values()))
+    defined = [
+        (module, top.name)
+        for module, source in sources.items()
+        for top in ast.parse(source).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and top.name.startswith("_") and not top.name.startswith("__")
+    ]
     return sorted(f"{module}.{name}" for module, name in defined if name not in used)
 
 
@@ -113,6 +125,38 @@ def test_dead_helpers_are_found():
 def test_every_private_helper_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in ALL_MODULES}
     assert _dead_helpers(sources) == []
+
+
+def _unused_exports(exported, sources: list[str]) -> list[str]:
+    """The ``exported`` names that no code in ``sources`` refers to outside
+    their own definition."""
+    return sorted(set(exported) - set().union(*map(_used_names, sources)))
+
+
+def test_unused_exports_are_found():
+    sources = [
+        "def used():\n    return kept()\n\ndef kept():\n    return kept()\n",
+        "from elongate import by_import\nimport elongate\nelongate.by_attribute()\n",
+        "def dead():\n    return dead()\n",
+    ]
+    exported = ["used", "kept", "dead", "by_import", "by_attribute", "nowhere"]
+    assert _unused_exports(exported, sources) == ["dead", "nowhere", "used"]
+
+
+#: Public names kept for the tests alone: the reference oracles of the 1-D
+#: limit tests and of A2 and A10, and the full-grid energy that the
+#: solver's energies, the records' ``J_ell`` and the finite-difference
+#: checks of the energy gradient are compared against.
+_TEST_ORACLES = ("assemble_energy", "oracle_1d", "poincare_ratio", "sup_error")
+
+
+def test_every_export_is_used():
+    # every public name is run by the package itself (its re-exports in
+    # __init__.py aside) or by the benchmark, apart from the test oracles
+    import elongate
+
+    sources = [path.read_text(encoding="utf-8") for path in MODULES + sorted(BENCH_CHILD.parent.glob("*.py"))]
+    assert _unused_exports(elongate.__all__, sources) == sorted(_TEST_ORACLES)
 
 
 _ENVIRONMENT = ("environ", "getenv", "putenv")

@@ -10,11 +10,13 @@ from elongate import (
     DomainSpec,
     Load,
     PDirichletDensity,
+    ScalarField,
     SolveOptions,
     SweepConfig,
     SweepRecord,
     assemble_energy,
     build_grid,
+    build_vertical_grid,
     cell_gradients,
     cell_means,
     convergence_verdicts,
@@ -81,6 +83,17 @@ def test_fit_rate_insufficient_data():
 def test_fit_rate_unknown_model():
     with pytest.raises(ValueError):
         fit_rate([(1.0, 1.0)], "spline")
+
+
+@pytest.mark.parametrize("model", ["power", "exponential"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_rate_rejects_non_finite_elongations(model, bad):
+    # named, not passed to the least-squares solve; a non-finite error is a
+    # point below the floor, which the fit skips
+    pts = [(1.0, 1.0), (2.0, 0.5), (bad, 0.25), (4.0, 0.125)]
+    with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+        fit_rate(pts, model)
+    assert fit_rate([(1.0, 1.0), (2.0, 0.5), (3.0, bad), (4.0, 0.125)], model).n_points == 3
 
 
 def test_power_rate_target_p4():
@@ -279,7 +292,7 @@ def test_decay_profile_partition_and_monotonicity():
     res = run_sweep(_sweep_config(ells=(4.0,)))
     u, grid, w = res.final_field, res.final_field.grid, res.limit
     ext = extend_vertical(w, grid)
-    prof = decay_profile(u, ext, 2.0, [1.0, 2.0, 3.0, 4.0])
+    prof = decay_profile(u, w, 2.0, [1.0, 2.0, 3.0, 4.0])
     assert np.all(np.diff(prof.g) >= -1e-15)
     # the value at the full level equals the directly assembled quantity
     gu, gl = cell_gradients(u), cell_gradients(ext)
@@ -295,11 +308,22 @@ def test_decay_profile_partition_and_monotonicity():
 
 def test_decay_profile_validation():
     res = run_sweep(_sweep_config(ells=(2.0,)))
-    ext = extend_vertical(res.limit, res.final_field.grid)
+    u, w = res.final_field, res.limit
     with pytest.raises(ValueError, match="at least one level"):
-        decay_profile(res.final_field, ext, 2.0, [])
+        decay_profile(u, w, 2.0, [])
     with pytest.raises(ValueError, match="positive"):
-        decay_profile(res.final_field, ext, 2.0, [-1.0, 1.0])
+        decay_profile(u, w, 2.0, [-1.0, 1.0])
+    # a non-finite level is named, wherever it sits in the list
+    for levels in ([math.nan, 1.0, 2.0], [1.0, 2.0, math.nan], [1.0, math.inf]):
+        bad = next(t for t in levels if not math.isfinite(t))
+        with pytest.raises(ValueError, match=f"finite, got {bad!r}"):
+            decay_profile(u, w, 2.0, levels)
+    # the limit must be a vertical profile on u's vertical axes
+    with pytest.raises(ValueError, match="vertical profile"):
+        decay_profile(u, u, 2.0, [1.0])
+    other = build_vertical_grid((1.0,), 0.25 * res.limit.grid.h[0])
+    with pytest.raises(ValueError, match="vertical axes differ"):
+        decay_profile(u, ScalarField(other, np.zeros(other.shape)), 2.0, [1.0])
 
 
 def _fake_records(ells, errs, hgrads=None, tge=None):
@@ -384,6 +408,19 @@ def test_verdicts_pass_at_tolerance_floor():
     assert verdicts["exponential_rate"].passed is True
     assert "floor" in verdicts["exponential_rate"].note
     assert verdicts["coarse_energy_scaling"].passed is True
+
+
+@pytest.mark.parametrize("at", [0, 1, 4])
+def test_verdicts_do_not_pass_a_nan_error_at_the_floor(at):
+    # one NaN error among errors below the floor leaves the rate
+    # indeterminate wherever it sits (max() over a NaN depends on the order)
+    d = make_density("quadratic", r=1, n=2)
+    errs = [1e-20] * 5
+    errs[at] = math.nan
+    records = _fake_records(list(range(2, 7)), errs)
+    fits = {"exponential": fit_rate([(r.ell, r.err_grad_p ** 0.5) for r in records], "exponential", 1e-8)}
+    verdict = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}["exponential_rate"]
+    assert (verdict.passed, verdict.note) == (None, "insufficient data")
 
 
 def test_verdicts_indeterminate_with_insufficient_fit():
