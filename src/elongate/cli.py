@@ -195,7 +195,6 @@ def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
     result = run_sweep(dataclasses.replace(sweep, ells=(ell,)))
     u, rep, wrep = result.final_field, result.final_report, result.limit_report
     audit = minimality_audit(u, sweep.density, sweep.load, result.limit, grad_tol=sweep.options.grad_tol)
-    os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
     save_field(u, os.path.join(out, "field"))
     _emit_json(
@@ -221,7 +220,6 @@ def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
 def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
     result = run_sweep(sweep)
     records = result.records
-    os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
     atomic_write_text(os.path.join(out, "sweep.csv"), records_to_csv(records))
 
@@ -265,7 +263,6 @@ def cmd_profile(rc: dict, sweep: SweepConfig, out: str) -> int:
         return EXIT_SOLVER
     t_values = np.arange(1.0, math.floor(ell) + 1.0)
     profile = decay_profile(result.final_field, result.limit, sweep.density.p, t_values)
-    os.makedirs(out, exist_ok=True)
     _emit_json(os.path.join(out, "resolved-config.json"), rc)
     atomic_write_text(os.path.join(out, "profile.csv"), profile.to_csv())
     return EXIT_OK
@@ -284,7 +281,6 @@ def cmd_audit_density(args: argparse.Namespace) -> int:
             density, args.samples, args.seed
         )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _emit_json(os.path.join(args.out, "density-audit.json"), reports)
     total = 0
     for name, rep in reports.items():

@@ -123,20 +123,17 @@ class EnergyDensity(abc.ABC):
         base = self.value(xi)
         return lambda alpha: self.value(xi + alpha * delta) - base
 
-    def line_energy(self, xi, delta, weights=None) -> Callable[[float], float]:
-        """The map ``alpha -> sum_i w_i (F(xi_i + alpha delta_i) - F(xi_i))``, a float.
+    def line_energy(self, xi, delta) -> Callable[[float], float]:
+        """The map ``alpha -> sum_i (F(xi_i + alpha delta_i) - F(xi_i))``, a float.
 
-        ``i`` runs over the leading indices, and ``weights`` holds one
-        ``w_i`` per leading index (``None``: all 1).  This sums
+        ``i`` runs over the leading indices.  This sums
         :meth:`line_increment` once per trial, so it is as
-        cancellation-free as the density's increment, and a cell of weight
-        0 adds exactly 0 wherever its increment is finite.  Built-ins
-        whose increment is a polynomial in the step override it.
+        cancellation-free as the density's increment, and an index with
+        ``delta_i = 0`` adds exactly 0 wherever its increment is finite.
+        Built-ins whose increment is a polynomial in the step override it.
         """
         line = self.line_increment(xi, delta)
-        if weights is None:
-            return lambda alpha: float(line(alpha).sum())
-        return lambda alpha: float(np.vdot(weights, line(alpha)))
+        return lambda alpha: float(line(alpha).sum())
 
     def value_increment(self, xi, delta) -> np.ndarray:
         """``F(xi + delta) - F(xi)``; as stable as :meth:`line_increment`."""
@@ -181,7 +178,7 @@ def _sq(xi) -> np.ndarray:
     return _dot(xi, xi)
 
 
-def _power_line_energy(blocks, q: float, p: float, weights) -> Callable[[float], float]:
+def _power_line_energy(blocks, q: float, p: float) -> Callable[[float], float]:
     """:meth:`EnergyDensity.line_energy` of ``sum_blocks |xi_block|^(2q) / p``, ``q`` in (1, 2).
 
     ``blocks`` lists ``(xi_block, delta_block)`` pairs.  Per cell ``|xi + a
@@ -197,12 +194,10 @@ def _power_line_energy(blocks, q: float, p: float, weights) -> Callable[[float],
     for x, d in blocks:
         b, c = _dot(x, d), _sq(d)
         if q == 1:
-            sums = (b.sum(), c.sum()) if weights is None else (np.vdot(weights, b), np.vdot(weights, c))
-            terms = (2.0 * sums[0], sums[1])
+            terms = (2.0 * b.sum(), c.sum())
         else:
             S = _sq(x)
-            wS, wb, wc = (S, b, c) if weights is None else (weights * S, weights * b, weights * c)
-            Sb, Sc, bb, bc, cc = (np.vdot(u, v) for u, v in ((wS, b), (wS, c), (wb, b), (wb, c), (wc, c)))
+            Sb, Sc, bb, bc, cc = (np.vdot(u, v) for u, v in ((S, b), (S, c), (b, b), (b, c), (c, c)))
             terms = (4.0 * Sb, 2.0 * Sc + 4.0 * bb, 4.0 * bc, cc)
         coeffs = [k + t for k, t in zip(coeffs, terms)]
     k1, k2, *rest = (float(k) / p for k in coeffs)
@@ -263,11 +258,11 @@ class _PowerDensity(EnergyDensity):
         q, p = self.p / 2, self.p
         return lambda alpha: _block_sum(_pow_diff(S, alpha * (b2 + alpha * c), q) for S, b2, c in blocks) / p
 
-    def line_energy(self, xi, delta, weights=None):
+    def line_energy(self, xi, delta):
         if self.p not in (2.0, 4.0):
-            return super().line_energy(xi, delta, weights)
+            return super().line_energy(xi, delta)
         blocks = list(zip(self._blocks(xi), self._blocks(delta)))
-        return _power_line_energy(blocks, self.p / 2, self.p, weights)
+        return _power_line_energy(blocks, self.p / 2, self.p)
 
     def vertical_restriction(self):
         return PDirichletDensity(self.p, 0, self.n - self.r)

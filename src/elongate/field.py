@@ -76,12 +76,11 @@ class ScalarField:
 
 
 def _cell_means_arr(values: np.ndarray) -> np.ndarray:
+    """Corner mean per cell: the corner sums, scaled by ``2^-n`` once (exact)."""
     out = values
     for a in range(values.ndim):
-        s0 = [slice(None)] * out.ndim
-        s1 = [slice(None)] * out.ndim
-        s0[a], s1[a] = slice(0, -1), slice(1, None)
-        out = 0.5 * (out[tuple(s0)] + out[tuple(s1)])
+        out = _pair(out, a, np.add)
+    out *= 0.5**values.ndim
     return out
 
 

@@ -65,15 +65,16 @@ def _sine_matrix(cells: int, half: bool) -> np.ndarray:
 
 
 def _sine_sums(values: np.ndarray, out: np.ndarray) -> None:
-    """``out_k = sum_i values_i sin(pi k i / N)``, ``i, k = 1 .. N-1``, over the middle axis.
+    """``out_k = sqrt(2 / N) sum_i values_i sin(pi k i / N)``, ``i, k = 1 .. N-1``, over the middle axis.
 
-    The DST-I of a whole axis of ``N`` cells, from the ``rfft`` of the
-    values zero-padded to length ``2N``; it is its own transpose.
+    The orthonormal DST-I of a whole axis of ``N`` cells, from the
+    ``rfft`` of the values zero-padded to length ``2N``; it is its own
+    transpose and its own inverse.
     """
     pre, j, post = values.shape
     z = np.zeros((pre, 2 * j + 2, post))
     z[:, 1:j + 1] = values
-    np.negative(np.fft.rfft(z, axis=1).imag[:, 1:j + 1], out=out)
+    np.multiply(np.fft.rfft(z, axis=1).imag[:, 1:j + 1], -math.sqrt(2.0 / (j + 1)), out=out)
 
 
 def _half_sines(values: np.ndarray, twiddle: np.ndarray, inverse: bool, out: np.ndarray) -> None:
@@ -81,11 +82,12 @@ def _half_sines(values: np.ndarray, twiddle: np.ndarray, inverse: bool, out: np.
 
     On the nodes ``j + s`` of an axis of ``N = 2j`` cells an odd mode ``k
     = 2m + 1`` is ``sin(pi k (j + s) / N) = (-1)^m cos(pi k s / N)``, so
-    ``out_m = sum_s values_s sin(pi k (j + s) / N)`` is a DCT-III: one
-    ``irfft`` of length ``j`` between ``twiddle``, ``(j / 2) e^(i pi t /
-    N)`` over ``t = 0 .. j/2`` with ``t = 0`` doubled, and a reordering
-    (Makhoul 1980).  With ``inverse`` it is the transpose, a DCT-II: the
-    reordering's transpose, one ``rfft`` and ``twiddle = e^(-i pi t / N)``.
+    ``out_m = c sum_s values_s sin(pi k (j + s) / N)``, ``c = sqrt(2 /
+    N)``, is a DCT-III: one ``irfft`` of length ``j`` between ``twiddle``,
+    ``c (j / 2) e^(i pi t / N)`` over ``t = 0 .. j/2`` with ``t = 0``
+    doubled, and a reordering (Makhoul 1980).  With ``inverse`` it is the
+    transpose, a DCT-II: the reordering's transpose, one ``rfft`` and
+    ``twiddle = c e^(-i pi t / N)``.
     """
     j = values.shape[1]
     h, mirrored = j // 2, slice(j - 1, (j - 1) // 2, -1)  # odd modes, last first
@@ -112,19 +114,19 @@ class _SineAxis:
     """The sine transform along one axis of an array of fixed shape.
 
     ``transform`` maps the axis's interior nodes ``1 .. N-1`` to its modes
-    ``1 .. N-1`` (``modes``), in natural order, and back.  Axes with at
-    most ``_DENSE_MAX`` interior nodes use the orthonormal matrix of
-    :func:`_sine_matrix`; longer ones the sine sums of :func:`_sine_sums`,
-    which scale a round trip by ``N / 2`` (``scale``).  Every index, view
-    shape, matrix orientation and twiddle is fixed at construction, so a
-    call does only the arithmetic and writes into ``out``.
+    ``1 .. N-1`` (``modes``), in natural order, and back, by the
+    orthonormal DST-I: axes with at most ``_DENSE_MAX`` interior nodes
+    take the matrix of :func:`_sine_matrix`, longer ones the real FFT of
+    :func:`_sine_sums`.  Every index, view shape, matrix orientation and
+    twiddle is fixed at construction, so a call does only the arithmetic
+    and writes into ``out``.
 
     With ``half`` the axis holds nodes ``N/2 .. N-1`` of a mirror-symmetric
     axis of ``N`` cells, the upper half that the solver keeps (see
     :func:`_halve`).  Only the odd modes, which are even about the
     midpoint, occur: the odd-mode rows of the matrix, or on a long axis
-    the sums of :func:`_half_sines`, with the same scale.  The factor 2 of
-    the mirror image is left to the caller.
+    the sums of :func:`_half_sines`.  The factor 2 of the mirror image is
+    left to the caller.
     """
 
     def __init__(self, shape: tuple[int, ...], axis: int, half: bool = False):
@@ -135,10 +137,8 @@ class _SineAxis:
         self.shape3 = (math.prod(shape[:axis]), j, math.prod(shape[axis + 1:]))
         # one matrix product, not ``pre`` matrix-vector products
         self.flat = self.shape3[2] == 1
-        dense = cells - 1 <= _DENSE_MAX
-        self.scale = 1.0 if dense else 0.5 * cells
         self.products = self.twiddles = None
-        if dense:
+        if cells - 1 <= _DENSE_MAX:
             # ``x @ q.T`` on a flat array, ``q @ x`` otherwise, and the
             # transposes for the inverse.  A flat array's ``q.T`` is a
             # contiguous copy, with which a product is ~30% faster than with
@@ -147,7 +147,7 @@ class _SineAxis:
             qt = np.ascontiguousarray(q.T) if self.flat else q.T
             self.products = (qt, q) if self.flat else (q, qt)
         elif half:
-            turn = np.exp(1j * np.pi / cells * np.arange(j // 2 + 1))[:, None]  # e^(i pi t / N)
+            turn = math.sqrt(2.0 / cells) * np.exp(1j * np.pi / cells * np.arange(j // 2 + 1))[:, None]
             forward = 0.5 * j * turn
             forward[0] *= 2.0
             self.twiddles = (forward, turn.conj())
@@ -198,7 +198,7 @@ def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarr
     shape = tuple(m if a in halved else m - 1 for a, m in enumerate(grid.cell_shape))
     axes = [_SineAxis(shape, a, a in halved) for a in range(grid.n)]
     lam = _eigen_parts([(grid.h[a], ax.cells, ax.modes) for a, ax in enumerate(axes)])[0].reshape(shape)
-    inv = 2.0 ** len(halved) / (lam * (grid.cell_volume * math.prod(ax.scale for ax in axes)))
+    inv = 2.0 ** len(halved) / (lam * grid.cell_volume)
     fixed = grid.dirichlet[inner]
     fixed = fixed if fixed.any() else None
 
@@ -412,9 +412,9 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
         if ax.half:
             mid_weight[_along(b, slice(0, 1))] *= 0.5
     # c = 2 per halved horizontal axis in G; in the solves the same factor
-    # for the vertical axes, over the round-trip scale of their transforms
+    # for the vertical axes
     c_h = 2.0 ** sum(ax.half for ax in axes[:r])
-    c_v = 2.0 ** sum(ax.half for ax in vaxes) / math.prod(ax.scale for ax in vaxes)
+    c_v = 2.0 ** sum(ax.half for ax in vaxes)
 
     # per mode of the other horizontal axes (sines ``rest``, box
     # eigenvalues s', c') the first axis's symbol is s' v_mass + c' v_stiff

@@ -128,7 +128,7 @@ def default_grad_tol(density: EnergyDensity) -> float:
 
 def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_norm):
     vol = grid.cell_volume
-    weights = None if grid.outside_cells is None else grid.cell_mask.astype(float)
+    outside = grid.outside_cells
     trials = 0
 
     Gx = _cell_gradients_arr(grid, x)
@@ -145,10 +145,13 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
     k = 0
     for k in range(1, max_iters + 1):
         # Energy change along d: the density's increment summed over the
-        # in-domain cells, free of cancellation at any step size, and the
-        # load term, linear in the step.
+        # cells, free of cancellation at any step size, and the load term,
+        # linear in the step.  The direction is zeroed on out-of-domain
+        # cells, where its increment is then exactly 0.
         Gd = _cell_gradients_arr(grid, d)
-        line = density.line_energy(Gx, Gd, weights)
+        if outside is not None:
+            np.copyto(Gd, 0.0, where=outside[..., None])
+        line = density.line_energy(Gx, Gd)
         lin_d = float(np.vdot(load_vec, d))
 
         def phi(alpha):
@@ -178,7 +181,10 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
             callback(k, x)
         # Cell gradients are linear in the field, so they are carried along
         # the step and re-derived from x every 50 iterations and before
-        # convergence is accepted.  The line data goes first, so that the
+        # convergence is accepted; in between they are stale on
+        # out-of-domain cells, which count for nothing: the gradient
+        # assembly zeroes their fluxes and the line energy meets them with
+        # a zero direction.  The line data goes first, so that the
         # gradient assembly does not add to it.
         Gd *= alpha
         Gx += Gd
@@ -438,10 +444,7 @@ def minimality_audit(
     ell = grid.ell
     # three levels, which coincide at ell / 4 when ell <= 4/3 (not np.unique: numpy.ma)
     for tc in dict.fromkeys(np.linspace(0.25 * ell, max(0.25 * ell, ell - 1.0), 3).tolist()):
-        sc = min(tc + 1.0, ell)
-        if not 0 < tc < sc:
-            continue
-        rho = cutoff(grid.cross_section, hpoints, sc, tc)
+        rho = cutoff(grid.cross_section, hpoints, min(tc + 1.0, ell), tc)
         run_trial((1.0 - rho.reshape(rho.shape + vshape)) * u.values, f"far-cut t={tc:.3g}")
 
     umax = max(1.0, float(np.max(np.abs(u.values))))
@@ -459,8 +462,6 @@ def minimality_audit(
         a_ = rng.uniform(0.05, 1.0)
         t_ = rng.uniform(0.1 * ell, 0.6 * ell)
         s_ = rng.uniform(t_ + 0.05 * (ell - t_), ell)
-        if not 0 < t_ < s_:
-            continue
         rho = cutoff(grid.cross_section, hpoints, s_, t_).reshape(hpoints.shape[:-1] + vshape)
         run_trial((1.0 - a_ * rho) * u.values + a_ * rho * limit_ext.values, f"blend {i}")
 

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from elongate.cli import _KEYS, main, resolve_config, ConfigError
+from elongate.ioutil import atomic_write_bytes
 
 
 def _write_config(path, **overrides):
@@ -275,6 +276,17 @@ def test_solve_report_gives_the_load_conjugate_exponent(tmp_path, p):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "solve-report.json").read_text())
     assert (report["p"], report["load_conjugate_exponent"]) == (p, p / (p - 1))
+
+
+def test_failed_atomic_write_cleans_up(tmp_path):
+    # a write that fails inside the file write (text to a binary file)
+    # re-raises, leaves no temp file and leaves the old target as it was
+    target = tmp_path / "field.bin"
+    target.write_bytes(b"old bytes")
+    with pytest.raises(TypeError):
+        atomic_write_bytes(str(target), "text")
+    assert [p.name for p in tmp_path.iterdir()] == ["field.bin"]
+    assert target.read_bytes() == b"old bytes"
 
 
 def test_artifacts_get_the_mode_of_a_plain_open(tmp_path):

@@ -224,6 +224,21 @@ class _ConcaveProbe(EnergyDensity):
         raise NotImplementedError
 
 
+def test_base_coupling_is_value_minus_vertical(monkeypatch):
+    # a custom density that does not override coupling gets the base
+    # class's F(xi) - F(0, xi_v), and audit_growth reaches it when r > 0
+    d = _ConcaveProbe()
+    xi = _random_xi(np.random.default_rng(5), 50, 2)
+    assert np.array_equal(d.coupling(xi), d.value(xi) - d.vertical(xi[..., 1:]))
+    assert np.allclose(d.coupling(xi), -xi[..., 0] ** 2, rtol=1e-12, atol=0.0)
+    calls, coupling = [], EnergyDensity.coupling
+    monkeypatch.setattr(EnergyDensity, "coupling", lambda self, xi: calls.append(len(xi)) or coupling(self, xi))
+    rep = audit_growth(d, 300, seed=6)
+    assert calls == [300]
+    # coercivity-lower fails everywhere, and so does coupling-lower (G = -|xi_h|^2)
+    assert rep.violations == 600
+
+
 def test_audit_midpoint_flags_concave_probe():
     rep = audit_convexity_midpoint(_ConcaveProbe(), 2000, seed=3)
     assert rep.violations > 0
@@ -251,7 +266,9 @@ LINE_IDS += ["quadratic-2", "concave-probe-2"]
 
 
 def _line_case(d, seed=41):
-    """Cells of every scale along a unit-size direction, and a 0/1 cell mask."""
+    """Cells of every scale along a unit-size direction, and a 0/1 cell mask.
+
+    A line energy leaves a cell out when the direction is zero there."""
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((200, d.n))
     delta = rng.standard_normal((200, d.n)) * 10.0 ** rng.uniform(-8, 0, (200, 1))
@@ -262,7 +279,7 @@ def _line_case(d, seed=41):
 def test_line_energy_sums_line_increment(d):
     # the tolerance of test_line_increment_matches_value_increment, summed over cells
     xi, delta, w = _line_case(d)
-    line, masked, whole = d.line_increment(xi, delta), d.line_energy(xi, delta, w), d.line_energy(xi, delta)
+    line, masked, whole = d.line_increment(xi, delta), d.line_energy(xi, delta * w[:, None]), d.line_energy(xi, delta)
     slope = np.abs(np.sum(d.grad(xi) * delta, axis=-1))
     for a in (1e-13, 1e-6, 0.3, 1.0, 4.0):
         inc = line(a)
@@ -279,22 +296,21 @@ def test_line_energy_resolves_tiny_steps(d):
     delta = np.array([[1.0, -1.0], [0.5, 2.0]])
     slopes = np.sum(d.grad(xi) * delta, axis=-1)
     assert d.line_energy(xi, delta)(1e-15) == pytest.approx(1e-15 * slopes.sum(), rel=1e-6)
-    assert d.line_energy(xi, delta, np.array([1.0, 0.0]))(1e-15) == pytest.approx(1e-15 * slopes[0], rel=1e-6)
+    assert d.line_energy(xi, delta * [[1.0], [0.0]])(1e-15) == pytest.approx(1e-15 * slopes[0], rel=1e-6)
 
 
 @pytest.mark.parametrize("d", LINE, ids=LINE_IDS)
 def test_line_energy_nan_and_masked_cells(d):
     xi, delta, w = _line_case(d)
-    out = w == 0.0
+    out, delta = w == 0.0, delta * w[:, None]
     poisoned = xi.copy()
     poisoned[np.flatnonzero(~out)[3], 0] = np.nan
-    assert np.isnan(d.line_energy(poisoned, delta, w)(0.5))
+    assert np.isnan(d.line_energy(poisoned, delta)(0.5))
     # whatever a masked cell holds (finite), it adds exactly 0
-    junk_xi, junk_delta, zero_xi, zero_delta = xi.copy(), delta.copy(), xi.copy(), delta.copy()
-    junk_xi[out], junk_delta[out] = 1e3, -7.0
-    zero_xi[out], zero_delta[out] = 0.0, 0.0
+    junk_xi, zero_xi = xi.copy(), xi.copy()
+    junk_xi[out], zero_xi[out] = 1e3, 0.0
     for a in (1e-13, 0.3, 4.0):
-        assert d.line_energy(junk_xi, junk_delta, w)(a) == d.line_energy(zero_xi, zero_delta, w)(a)
+        assert d.line_energy(junk_xi, delta)(a) == d.line_energy(zero_xi, delta)(a)
 
 
 def test_audits_deterministic():
@@ -318,14 +334,14 @@ def test_power_family_at_p2():
     rng = np.random.default_rng(53)
     xi = rng.standard_normal((50, 30, 2)) * 10.0 ** rng.uniform(-3, 3, (50, 30, 1))
     delta = rng.standard_normal((50, 30, 2))
-    w = (rng.uniform(size=(50, 30)) < 0.7).astype(float)
+    delta *= rng.uniform(size=(50, 30, 1)) < 0.7
     quad = make_density("quadratic", r=1, n=2)
     p2, sep2 = PDirichletDensity(2.0, r=1, n=2), SeparablePowerDensity(2.0, r=1, n=2)
     for d in (p2, sep2):
         assert np.array_equal(d.value(xi), quad.value(xi))
         assert np.array_equal(d.grad(xi), quad.grad(xi))
     for a in (1e-9, 0.5, 3.0):
-        assert p2.line_energy(xi, delta, w)(a) == quad.line_energy(xi, delta, w)(a)
+        assert p2.line_energy(xi, delta)(a) == quad.line_energy(xi, delta)(a)
     assert (quad.p, quad.k, quad.lam, quad.Lam, quad.beta) == (2.0, 0.0, 0.5, 0.5, 0.5)
 
 

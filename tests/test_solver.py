@@ -225,6 +225,50 @@ def test_non_finite_gradient_stops_the_solve(kind, p):
     assert rep.iterations <= 1
 
 
+@pytest.mark.parametrize("kind,p", [("quadratic", None), ("p-dirichlet", 4.0)])
+def test_non_finite_gradient_after_a_step_stops_the_solve(kind, p):
+    # the gradient is finite at the zero start and NaN once the field has
+    # moved: the first step is taken, then the solve stops without raising
+    base = type(make_density(kind, p, r=1, n=2))
+
+    class NaNAfterStep(base):
+        def grad(self, xi):
+            return np.full(np.shape(xi), np.nan) if np.any(xi) else super().grad(xi)
+
+    d = NaNAfterStep(2.0 if p is None else p, r=1, n=2)
+    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
+    u, rep = minimize(grid, d, LOAD2, SolveOptions(max_iters=1000))
+    assert not rep.converged
+    assert rep.iterations == 1
+    assert not np.isfinite(rep.grad_max)
+    # no line search after the step: the trials are those of one iteration
+    assert rep.trials == minimize(grid, base(d.p, r=1, n=2), LOAD2, SolveOptions(max_iters=1))[1].trials
+
+
+@pytest.mark.parametrize("mirror", [True, False], ids=["halved", "full"])
+def test_line_energy_direction_is_zero_outside_the_domain(mirror):
+    # on a ball grid the cell gradients of the search direction reach the
+    # density's line energy zeroed on every out-of-domain cell, so those
+    # cells add exactly 0 to the line search
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 2.0, (1.0,)), 1 / 4)
+    deltas = []
+
+    class Recording(type(make_density("p-dirichlet", 4.0, r=2, n=3))):
+        mirror_invariant = mirror
+
+        def line_energy(self, xi, delta):
+            deltas.append(np.array(delta))
+            return super().line_energy(xi, delta)
+
+    u, rep = minimize(grid, Recording(4.0, r=2, n=3), LOAD2, SolveOptions(max_iters=5))
+    assert bool(rep.mirror_axes) == mirror and rep.iterations == len(deltas) == 5
+    outside = _halve(grid, tuple(rep.mirror_axes)).outside_cells
+    assert outside.any()
+    for delta in deltas:
+        assert delta.shape[:-1] == outside.shape
+        assert not delta[outside].any() and delta[~outside].any()
+
+
 def _random_box_grid(rng, r, vertical):
     """Box grid with random elongation, halfwidths and spacing (anisotropic h)."""
     hw = tuple(rng.uniform(0.3, 1.2) for _ in range(vertical))
@@ -351,26 +395,33 @@ def test_green_sums_match_the_sine_sums(cells, half):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 200])
+@pytest.mark.parametrize("cells", [2, 3, 16, 17, 64, 128, 129, 130, 194, 200, 256, 768])
 def test_sine_axis_round_trip(cells):
-    # the sine transform of a whole axis on both paths, dense (at most
-    # _DENSE_MAX interior nodes) and rfft, with the axis in the middle,
-    # first and last (flat) position: it gives the modes 1 .. N-1 in natural
-    # order, and transforming back is the identity times the scale
-    x = np.random.default_rng(cells).standard_normal((3, cells - 1, 4))
-    j = np.arange(1, cells)
-    q = np.sqrt(2.0 / cells) * np.sin(np.pi / cells * j[:, None] * j)
-    for axis, values in ((1, x), (0, x[0]), (1, x[:, :, 0])):
-        ax = _SineAxis(values.shape, axis)
-        assert ax.cells == cells and (ax.products is not None) == (cells - 1 <= _DENSE_MAX)
-        assert np.array_equal(ax.modes, j)
-        a, b = np.empty(values.shape), np.empty(values.shape)
-        modes = ax.transform(values, a)
-        want = np.sqrt(ax.scale) * np.moveaxis(np.tensordot(q, values, axes=(1, axis)), 0, axis)
-        assert np.max(np.abs(modes - want)) <= 1e-13 * np.max(np.abs(want))
-        back = ax.transform(modes, b, inverse=True) / ax.scale
-        assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
-    if ax.products is not None and cells & (cells - 1) == 0:
+    # every path of the sine transform against the orthonormal matrix of
+    # _sine_matrix, forward and inverse: a whole axis dense (at most
+    # _DENSE_MAX interior nodes) and by rfft, a halved axis (even N, odd
+    # N/2 too) dense and by one real FFT of its length, each with the axis
+    # in the middle, first and last (flat) position.  A round trip is the
+    # identity; on a halved axis with the caller's part, the mirror factor
+    # 2 and the mid-plane node taken once
+    for half in (False, True) if cells % 2 == 0 else (False,):
+        q = _sine_matrix(cells, half)
+        x = np.random.default_rng(cells).standard_normal((3, q.shape[1], 4))
+        for axis, values in ((1, x), (0, x[0]), (1, x[:, :, 0])):
+            ax = _SineAxis(values.shape, axis, half)
+            assert ax.cells == cells and (ax.products is not None) == (cells - 1 <= _DENSE_MAX)
+            assert (ax.twiddles is not None) == (half and ax.products is None)
+            assert np.array_equal(ax.modes, np.arange(1, cells, 1 + half))
+            for inverse, matrix in ((False, q), (True, q.T)):
+                got = ax.transform(values, np.empty(values.shape), inverse)
+                want = np.moveaxis(np.tensordot(matrix, values, axes=(1, axis)), 0, axis)
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            mirrored = (1.0 + half) * values
+            mirrored[(slice(None),) * axis + (0,)] /= 1.0 + half
+            modes = ax.transform(mirrored, np.empty(values.shape))
+            back = ax.transform(modes, np.empty(values.shape), inverse=True)
+            assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
+    if cells - 1 <= _DENSE_MAX and cells & (cells - 1) == 0:
         # the orthonormal matrix squares to the identity to an ulp
         eye = np.eye(cells - 1)
         q = _SineAxis(eye.shape, 0).transform(eye, np.empty_like(eye))
@@ -392,7 +443,7 @@ def test_sine_axis_half_axis_is_the_odd_part(cells):
         x = np.concatenate((np.flip(upper[along(slice(1, None))], axis), upper), axis)
         x[along(cells // 2 - 1)] *= 2.0
         ax, ax_half = _SineAxis(x.shape, axis), _SineAxis(shape, axis, half=True)
-        assert ax_half.cells == cells and ax_half.scale == ax.scale
+        assert ax_half.cells == cells
         assert (ax_half.products is not None) == (cells - 1 <= _DENSE_MAX)
         assert np.array_equal(ax_half.modes, ax.modes[0::2])
         modes = ax.transform(x, np.empty(x.shape))
@@ -405,36 +456,6 @@ def test_sine_axis_half_axis_is_the_odd_part(cells):
         got = ax_half.transform(odd, np.empty(shape), inverse=True)
         upper_back = back[along(slice(cells // 2 - 1, None))]
         assert np.max(np.abs(got - upper_back)) <= 1e-13 * np.max(np.abs(got))
-
-
-@pytest.mark.parametrize("cells", [130, 194, 256, 768])
-def test_long_half_axis_matches_the_odd_mode_matrix(cells):
-    # a halved axis of j = N/2 > _DENSE_MAX / 2 nodes (odd j too) takes its
-    # odd modes from one real FFT of length j: forward and inverse are the
-    # odd-mode rows of the orthonormal DST-I times sqrt(scale) and their
-    # transpose, with the axis in the middle, first and last (flat)
-    # position; with the caller's part, the mirror factor 2 and the
-    # mid-plane node taken once, a round trip is scale times the identity
-    j = cells // 2
-    q = np.sqrt(j) * _sine_matrix(cells, True)
-    x = np.random.default_rng(cells).standard_normal((3, j, 4))
-    for axis, values in ((1, x), (0, x[0]), (1, x[:, :, 0])):
-        ax = _SineAxis(values.shape, axis, half=True)
-        assert ax.products is None and ax.twiddles is not None and ax.scale == j
-        assert np.array_equal(ax.modes, np.arange(1, cells, 2))
-        for inverse, matrix in ((False, q), (True, q.T)):
-            got = ax.transform(values, np.empty(values.shape), inverse)
-            want = np.moveaxis(np.tensordot(matrix, values, axes=(1, axis)), 0, axis)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        mirrored = 2.0 * values
-        mirrored[(slice(None),) * axis + (0,)] *= 0.5
-        modes = ax.transform(mirrored, np.empty(values.shape))
-        back = ax.transform(modes, np.empty(values.shape), inverse=True) / ax.scale
-        assert np.max(np.abs(back - values)) <= 1e-14 * np.max(np.abs(values))
-    eye = np.eye(j)
-    ax = _SineAxis(eye.shape, 0, half=True)
-    forward, inverse = (ax.transform(eye, np.empty_like(eye), inverse) for inverse in (False, True))
-    assert np.max(np.abs(inverse - forward.T)) <= 1e-13 * np.max(np.abs(forward))
 
 
 @pytest.mark.parametrize("kind", ["ball", "long-box"])
