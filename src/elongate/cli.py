@@ -84,7 +84,9 @@ _KEYS: dict[tuple[str, str], tuple[Any, Callable[[Any], bool], str]] = {
         lambda v: _numbers(v) and v != [] and all(a < b for a, b in zip(v, v[1:])),
         "a nonempty, strictly ascending array of finite numbers",
     ),
-    ("domain", "vertical_halfwidths"): ([1.0], _numbers, "an array of finite numbers"),
+    ("domain", "vertical_halfwidths"): (
+        [1.0], lambda v: _numbers(v) and v != [], "a nonempty array of finite numbers"
+    ),
     ("grid", "target_h"): (0.125, _finite, _NUMBER),
     ("grid", "max_nodes"): (SweepConfig.max_nodes, lambda v: v is None or _integer(v), f"null or {_INTEGER}"),
     ("density", "kind"): ("quadratic", lambda v: isinstance(v, str), "a string"),

@@ -10,8 +10,9 @@ real FFT of length ``j`` (Makhoul 1980); a long whole axis a zero-padded
 ``rfft`` of twice its cell count.  On a grid with masked cells (a
 ball cross-section) a capacitance-matrix correction, one small dense
 matrix per vertical sine mode, makes the inverse exact on the masked
-grid too; it is built from a closed-form 1-D Green's function and split
-by the grid's symmetries.  A mirror-symmetric problem comes halved along
+grid too; built from a closed-form 1-D Green's function and split by
+the grid's symmetries, it acts where the box inverse holds horizontal
+nodes by vertical modes.  A mirror-symmetric problem comes halved along
 its symmetric axes (:func:`elongate.solver._halve`), and a halved axis
 transforms to its odd modes alone; halving is what keeps a symmetric
 solution exactly symmetric.  Everything but the arithmetic is set up
@@ -27,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from .field import _along
 from .geometry import Grid
 
 #: Axes with at most this many interior nodes take their sine transform from
@@ -126,7 +126,8 @@ class _SineAxis:
     :func:`_halve`).  Only the odd modes, which are even about the
     midpoint, occur: the odd-mode rows of the matrix, or on a long axis
     the sums of :func:`_half_sines`.  The factor 2 of the mirror image is
-    left to the caller.
+    left to the caller: the transform ``Qh`` satisfies ``Qh W Qh^T = I``,
+    ``W = diag(1, 2, ..., 2)`` counting every node but the mid-plane twice.
     """
 
     def __init__(self, shape: tuple[int, ...], axis: int, half: bool = False):
@@ -178,52 +179,54 @@ def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarr
     with ``th_a = k_a pi / N_a`` for ``N_a`` cells on axis ``a``
     (:func:`_eigen_parts`), over the modes of each :class:`_SineAxis`.
 
-    On a grid with masked cells or fixed nodes inside the box, the
-    correction of :func:`_capacitance` turns this into the exact inverse
-    of the masked Hessian on the free nodes: a box inverse, a small dense
-    solve per vertical mode and a box inverse of the correction.  A box
-    grid takes no correction and no extra set-up.  The result is zeroed
-    at every Dirichlet node, so the map is symmetric and positive
-    definite on the free nodes.
+    Every grid takes one pipeline: the forward transforms, the division
+    by the eigenvalues, the horizontal inverse transforms, then the
+    vertical ones.  In between, the array holds horizontal nodes by
+    vertical modes.  With masked cells or fixed nodes inside the box, the
+    horizontal box solve of :func:`_capacitance`'s correction is taken
+    from it there, which makes the map the exact inverse of the masked
+    Hessian on the free nodes.  A box grid takes no correction and no
+    extra set-up.  The result is zeroed at every Dirichlet node, so
+    the map is symmetric and positive definite on the free nodes.
 
     On a grid halved along the axes ``halved`` (:func:`_halve`) it is the
     exact inverse of the halved problem's Hessian: a halved axis of ``N /
     2`` cells is the upper half of ``N``, its first node is free and only
     its odd modes occur, each taken twice (the factor ``2^k`` for ``k``
     halved axes).  Everything but the arithmetic is set up here, once
-    per solve; each box application ping-pongs between two
-    interior-size arrays of its own.
+    per solve; each application ping-pongs between interior-size arrays
+    of its own.
     """
-    inner = tuple(slice(0 if a in halved else 1, -1) for a in range(grid.n))
+    r, inner = grid.r, tuple(slice(0 if a in halved else 1, -1) for a in range(grid.n))
     shape = tuple(m if a in halved else m - 1 for a, m in enumerate(grid.cell_shape))
     axes = [_SineAxis(shape, a, a in halved) for a in range(grid.n)]
     lam = _eigen_parts([(grid.h[a], ax.cells, ax.modes) for a, ax in enumerate(axes)])[0].reshape(shape)
     inv = 2.0 ** len(halved) / (lam * grid.cell_volume)
     fixed = grid.dirichlet[inner]
     fixed = fixed if fixed.any() else None
+    correct = None if fixed is None and grid.outside_cells is None else _capacitance(grid, axes, inner)
 
-    def box(residual: np.ndarray) -> np.ndarray:
+    def sweep(part: list[_SineAxis], z: np.ndarray, w: np.ndarray, inverse: bool = False):
         # every step reads z and writes the other array, which then becomes z
-        z, w = np.array(residual[inner]), np.empty(shape)
-        for ax in axes:
-            z, w = ax.transform(z, w), z
+        for ax in part:
+            z, w = ax.transform(z, w, inverse), z
+        return z, w
+
+    def apply(residual: np.ndarray) -> np.ndarray:
+        z, w = sweep(axes, np.array(residual[inner]), np.empty(shape))
         z *= inv
-        for ax in axes:
-            z, w = ax.transform(z, w, inverse=True), z
+        z, w = sweep(axes[:r], z, w, True)
+        if correct is not None:  # z holds horizontal nodes by vertical modes
+            c, w = sweep(axes[:r], correct(z), w)
+            c *= inv
+            c, w = sweep(axes[:r], c, w, True)
+            z -= c
+        z, w = sweep(axes[r:], z, w, True)
+        if fixed is not None:
+            z[fixed] = 0.0
         out = np.zeros(grid.shape)
         out[inner] = z
         return out
-
-    correction = None if fixed is None and grid.outside_cells is None else _capacitance(grid, axes, inner)
-    if correction is None:
-        return box
-
-    def apply(residual: np.ndarray) -> np.ndarray:
-        z = box(residual)
-        z -= box(correction(z))
-        if fixed is not None:
-            z[inner][fixed] = 0.0
-        return z
 
     return apply
 
@@ -311,9 +314,8 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     own, so ``b = 0`` there gives ``0`` there.
 
     The mask and the fixed nodes depend on the horizontal axes only, so
-    the vertical sine modes (odd modes of a halved axis, weighted by 1/2
-    on its mid-plane as ``_box_inverse`` explains) split ``G`` and ``E``
-    into one ``m x m`` pair per mode: ``G_k = c V diag(1 / lam_k) V^T``
+    the vertical sine modes (odd modes of a halved axis) split ``G`` and
+    ``E`` into one ``m x m`` pair per mode: ``G_k = c V diag(1 / lam_k) V^T``
     from the box eigenvalues ``lam_k`` and the horizontal sine basis ``V``
     at ``Gamma`` (``c = 2`` per halved horizontal axis), and ``E_k`` from
     the cell Hessians, weighted by the mode's vertical eigenvalues.  Per
@@ -330,8 +332,11 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     representative node.  ``(I + E_k G_k)^-1 E_k`` is one batched solve
     per class: for ``f`` maps, ``2^f`` solves of about ``m / 2^f`` rows.
 
-    Returns ``correct(z)``, the array ``U E y`` for a box solution ``z``
-    on the grid, or ``None`` when ``Gamma`` is empty.
+    Returns ``correct(z)``, ``U E y`` for the box solution ``z`` as
+    :func:`_box_inverse` holds it before the vertical inverse transforms
+    (horizontal nodes by vertical modes) and in that space, or ``None``
+    when ``Gamma`` is empty.  ``Qh W Qh^T = I`` (:class:`_SineAxis`)
+    cancels the mid-plane weights of a halved vertical axis there.
     """
     r, n = grid.r, grid.n
     vert = tuple(range(r, n))
@@ -403,18 +408,11 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
             y = x
         return y
 
-    # vertical modes of the Gamma values, in the box inverse's storage order
-    vshape = tuple(ax.shape3[1] for ax in axes[r:])
-    vaxes = [_SineAxis((m,) + vshape, 1 + b, ax.half) for b, ax in enumerate(axes[r:])]
-    v_stiff, v_mass = _eigen_parts([(grid.h[r + b], ax.cells, ax.modes) for b, ax in enumerate(vaxes)])
-    mid_weight = np.ones(vshape)
-    for b, ax in enumerate(vaxes):
-        if ax.half:
-            mid_weight[_along(b, slice(0, 1))] *= 0.5
-    # c = 2 per halved horizontal axis in G; in the solves the same factor
-    # for the vertical axes
+    v_stiff, v_mass = _eigen_parts([(grid.h[a], ax.cells, ax.modes) for a, ax in enumerate(axes[r:], r)])
+    # c = 2 per halved axis: the horizontal ones in G; the vertical ones
+    # in the solves once and in the eigenvalue divisions around them twice
     c_h = 2.0 ** sum(ax.half for ax in axes[:r])
-    c_v = 2.0 ** sum(ax.half for ax in vaxes)
+    c_v = 2.0 ** sum(ax.half for ax in axes[r:])
 
     # per mode of the other horizontal axes (sines ``rest``, box
     # eigenvalues s', c') the first axis's symbol is s' v_mass + c' v_stiff
@@ -441,24 +439,17 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
         a = e @ block[:-2]
         a.reshape(len(a), -1)[:, ::len(rows) + 1] += 1.0
         solves = np.linalg.solve(a, e)
-        solves *= c_v / weight[rows]
+        solves /= c_v * weight[rows]
         blocks.append((rows, solves))
 
-    gather = tuple(nodes) + inner[r:]
+    gather = tuple(k - sl.start for k, sl in zip(nodes, inner))  # Gamma's interior indices
 
     def correct(z: np.ndarray) -> np.ndarray:
-        y = fold(z[gather] * mid_weight)
-        w = np.empty(y.shape)
-        for ax in vaxes:
-            y, w = ax.transform(y, w), y
-        flat, out = y.reshape(m, -1), w.reshape(m, -1)
-        for rows, solves in blocks:
-            out[rows] = np.matmul(solves, flat[rows].T[:, :, None])[:, :, 0].T
-        y, w = w, y
-        for ax in vaxes:
-            y, w = ax.transform(y, w, inverse=True), y
-        c = np.zeros(grid.shape)
-        c[gather] = unfold(y * mid_weight)
+        y = fold(z.reshape(z.shape[:r] + (-1,))[gather])
+        for rows, solves in blocks:  # the classes' rows are disjoint
+            y[rows] = np.matmul(solves, y[rows].T[:, :, None])[:, :, 0].T
+        c = np.zeros(z.shape)
+        c.reshape(z.shape[:r] + (-1,))[gather] = unfold(y)
         return c
 
     return correct

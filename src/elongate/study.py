@@ -61,6 +61,8 @@ class SweepConfig:
         # range checks are written so that NaN fails them
         if not all(0 < e < math.inf for e in self.ells):
             raise ValueError(f"elongations must be positive and finite, got {self.ells}")
+        if not self.vertical_halfwidths:
+            raise ValueError("need at least one vertical axis")
         if not all(0 < w < math.inf for w in self.vertical_halfwidths):
             raise ValueError(
                 f"vertical halfwidths must be positive and finite, got {self.vertical_halfwidths}"

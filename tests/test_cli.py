@@ -109,6 +109,17 @@ def test_nan_config_number_is_config_error(tmp_path, capsys, section, key):
     assert not (tmp_path / "o").exists()
 
 
+def test_empty_vertical_halfwidths_is_config_error(tmp_path, capsys):
+    # a grid needs a vertical axis: the key names itself, not the density's r < n
+    cfg = _write_config(tmp_path / "c.json", domain={"vertical_halfwidths": []})
+    out = tmp_path / "o"
+    for command in (["--dry-run", "sweep"], ["sweep"]):
+        assert main([*command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "domain.vertical_halfwidths" in err and "nonempty" in err
+        assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("ell_list", [2.0, float("inf")]),
     ("ell_list", [2.0, float("nan")]),

@@ -320,22 +320,26 @@ def test_box_inverse_inverts_quadratic_hessian(r, vertical, seed):
             assert np.max(np.abs(Ab - b)) <= 1e-12 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("r,ell,halfwidth,h,dense_max", [
-    (2, 2.0, 1.0, 1 / 4, _DENSE_MAX), (2, 1.5, 0.5, 1 / 8, _DENSE_MAX), (3, 1.0, 1.0, 1 / 4, _DENSE_MAX),
-    (2, 1.0, 0.5, 1 / 8, 8),
-], ids=["r2", "r2-fine", "r3", "r2-rfft"])
-def test_ball_inverse_inverts_quadratic_hessian(monkeypatch, r, ell, halfwidth, h, dense_max):
+@pytest.mark.parametrize("r,ell,halfwidths,h,dense_max", [
+    (2, 2.0, (1.0,), 1 / 4, _DENSE_MAX), (2, 1.5, (0.5,), 1 / 8, _DENSE_MAX), (3, 1.0, (1.0,), 1 / 4, _DENSE_MAX),
+    (2, 1.0, (0.5,), 1 / 8, 8), (3, 1.125, (0.5,), 1 / 4, _DENSE_MAX), (2, 2.3, (0.5,), 1 / 8, _DENSE_MAX),
+    (2, 1.0, (0.5, 0.5), 1 / 4, _DENSE_MAX),
+], ids=["r2", "r2-fine", "r3", "r2-rfft", "r3-odd", "r2-odd-fine", "r2-two-vertical"])
+def test_ball_inverse_inverts_quadratic_hessian(monkeypatch, r, ell, halfwidths, h, dense_max):
     # exact oracle on masked grids: with its capacitance correction the
     # preconditioner inverts the masked Hessian on the free nodes, on the
     # full grid and halved along the horizontal, the vertical or every even
-    # axis; a lowered threshold sends the horizontal axes through rfft
+    # axis; a lowered threshold sends the horizontal axes through rfft.
+    # Odd horizontal cell counts (9 and 37 cells) give mirror folds that map
+    # no node to itself; two vertical axes take two vertical mode factors
     monkeypatch.setattr(elongate.precond, "_DENSE_MAX", dense_max)
-    grid = build_grid(DomainSpec(CrossSection("ball", r), ell, (halfwidth,)), h)
-    assert grid.outside_cells is not None
+    grid = build_grid(DomainSpec(CrossSection("ball", r), ell, halfwidths), h)
+    assert grid.outside_cells is not None and grid.n == r + len(halfwidths)
     assert (grid.shape[0] - 2 > dense_max) == (dense_max < _DENSE_MAX) and grid.shape[-1] - 2 <= dense_max
     even = tuple(a for a in range(grid.n) if grid.cell_shape[a] % 2 == 0)
     rng = np.random.default_rng(10 * r + dense_max)
-    for halved in dict.fromkeys([(), even, even[:r], even[r:]]):
+    horizontal, vertical = tuple(a for a in even if a < r), tuple(a for a in even if a >= r)
+    for halved in dict.fromkeys([(), even, horizontal, vertical]):
         sub = _halve(grid, halved)
         apply_inverse = _box_inverse(sub, halved)
         x = rng.standard_normal(sub.shape)
@@ -770,6 +774,16 @@ def test_p4_box_solve_iterations():
     # preconditioned Polak-Ribiere CG relies on (69 iterations without it)
     grid = build_grid(DomainSpec(CS1, 4.0, (1.0,)), 1 / 16)
     d = make_density("p-dirichlet", 4.0, r=1, n=2)
+    u, rep = minimize(grid, d, LOAD2)
+    assert rep.converged and rep.iterations <= 62
+    assert rep.trials >= rep.iterations
+
+
+def test_p4_ball_solve_iterations():
+    # with the masked preconditioner p = 4 takes 58 iterations here, as the
+    # box of test_p4_box_solve_iterations does; the same bound
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 3.0, (1.0,)), 1 / 8)
+    d = make_density("p-dirichlet", 4.0, r=2, n=3)
     u, rep = minimize(grid, d, LOAD2)
     assert rep.converged and rep.iterations <= 62
     assert rep.trials >= rep.iterations

@@ -205,6 +205,8 @@ def test_sweep_config_validation():
         _sweep_config(ells=())
     with pytest.raises(ValueError):
         _sweep_config(ell0=5.0)
+    with pytest.raises(ValueError, match="need at least one vertical axis"):  # as DomainSpec says
+        _sweep_config(vertical_halfwidths=())
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             _sweep_config(ells=(2.0, bad))
