@@ -36,6 +36,7 @@ from .ioutil import atomic_write_text
 from .solver import SolveOptions, minimality_audit
 from .study import (
     SweepConfig,
+    SweepResult,
     _fit_series,
     convergence_verdicts,
     decay_profile,
@@ -192,17 +193,14 @@ def _dry_run(sweep: SweepConfig) -> int:
     return EXIT_OK
 
 
-def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
-    ell = sweep.ells[-1]
-    result = run_sweep(dataclasses.replace(sweep, ells=(ell,)))
+def cmd_solve(rc: dict, sweep: SweepConfig, result: SweepResult, out: str) -> int:
     u, rep, wrep = result.final_field, result.final_report, result.limit_report
     audit = minimality_audit(u, sweep.density, sweep.load, result.limit, grad_tol=sweep.options.grad_tol)
-    _emit_json(os.path.join(out, "resolved-config.json"), rc)
     save_field(u, os.path.join(out, "field"))
     _emit_json(
         os.path.join(out, "solve-report.json"),
         {
-            "ell": ell,
+            "ell": sweep.ells[-1],
             "p": sweep.density.p,
             "load_conjugate_exponent": sweep.density.p / (sweep.density.p - 1.0),
             "solve": rep,
@@ -219,10 +217,8 @@ def cmd_solve(rc: dict, sweep: SweepConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
-    result = run_sweep(sweep)
+def cmd_sweep(rc: dict, sweep: SweepConfig, result: SweepResult, out: str) -> int:
     records = result.records
-    _emit_json(os.path.join(out, "resolved-config.json"), rc)
     atomic_write_text(os.path.join(out, "sweep.csv"), records_to_csv(records))
 
     good = [r for r in records if r.converged]
@@ -243,7 +239,7 @@ def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
         rows = (f"{math.log(x) if model == 'power' else x!r} {math.log(e)!r}" for x, e in pts if e > 0)
         atomic_write_text(os.path.join(out, f"plot-{model}.dat"), "\n".join(rows) + "\n")
 
-    verdicts = convergence_verdicts(records, sweep.density, sweep.cross_section.r, fits)
+    verdicts = convergence_verdicts(records, sweep.density, fits)
     _emit_json(os.path.join(out, "verdicts.json"), verdicts)
 
     failed = [v for v in verdicts if v.applicable and v.passed is False]
@@ -257,15 +253,12 @@ def cmd_sweep(rc: dict, sweep: SweepConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_profile(rc: dict, sweep: SweepConfig, out: str) -> int:
-    ell = sweep.ells[-1]
-    result = run_sweep(dataclasses.replace(sweep, ells=(ell,)))
+def cmd_profile(rc: dict, sweep: SweepConfig, result: SweepResult, out: str) -> int:
     if not result.records[-1].converged:
         print("solver did not converge", file=sys.stderr)
         return EXIT_SOLVER
-    t_values = np.arange(1.0, math.floor(ell) + 1.0)
+    t_values = np.arange(1.0, math.floor(sweep.ells[-1]) + 1.0)
     profile = decay_profile(result.final_field, result.limit, sweep.density.p, t_values)
-    _emit_json(os.path.join(out, "resolved-config.json"), rc)
     atomic_write_text(os.path.join(out, "profile.csv"), profile.to_csv())
     return EXIT_OK
 
@@ -327,8 +320,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.dry_run:
             return _dry_run(sweep)
         out = args.out or rc["output"]["directory"]
+        if args.command != "sweep":
+            sweep = dataclasses.replace(sweep, ells=sweep.ells[-1:])
+        result = run_sweep(sweep)
+        _emit_json(os.path.join(out, "resolved-config.json"), rc)
         handler = {"solve": cmd_solve, "sweep": cmd_sweep, "profile": cmd_profile}[args.command]
-        return handler(rc, sweep, out)
+        return handler(rc, sweep, result, out)
     except ValueError as exc:  # ConfigError, NodeBudgetError and invalid values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

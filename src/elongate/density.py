@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,10 +40,10 @@ _KINDS = ("p-dirichlet", "separable-p", "quadratic")
 class HypothesisReport:
     """Outcome of sampling one structural hypothesis.
 
-    ``worst_margin`` is the largest normalized violation excess: positive
-    margins are violations, so ``violations == 0`` iff
-    ``worst_margin <= 0``.  Witnesses keep the worst few sample points
-    with their raw (unnormalized) gaps.
+    ``worst_margin`` is the largest normalized violation excess: a margin
+    that is not ``<= 0``, NaN included, is a violation, so ``violations ==
+    0`` iff ``worst_margin <= 0``.  Witnesses keep the worst few sample
+    points with their check and raw (unnormalized) gaps.
     """
 
     hypothesis: str
@@ -71,16 +72,17 @@ class EnergyDensity(abc.ABC):
     mirror_invariant: bool = False
 
     def __init__(self, p: float, k: float, lam: float, Lam: float, beta: float, r: int, n: int):
-        if p < 2:
-            raise ValueError("densities are restricted to growth exponents p >= 2")
+        # every range check is written so that NaN fails it
+        if not 2 <= p < math.inf:
+            raise ValueError(f"densities are restricted to finite growth exponents p >= 2, got {p!r}")
         if not 0 <= k < p:
             raise ValueError("coupling exponent must satisfy 0 <= k < p")
         # lam <= Lam is not enforced: audits are routinely pointed at
         # deliberately wrong claimed constants.
-        if lam <= 0 or Lam <= 0:
-            raise ValueError("growth constants must be positive")
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not (0 < lam < math.inf and 0 < Lam < math.inf):
+            raise ValueError(f"growth constants must be positive and finite, got lam={lam!r}, Lam={Lam!r}")
+        if not 0 <= beta < math.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
         if not 0 <= r < n:
             raise ValueError("need 0 <= r < n")
         self.p = float(p)
@@ -227,10 +229,24 @@ class _PowerDensity(EnergyDensity):
     base class has one block of every component and takes no views.  Every
     method works block by block, so the one-block case makes the numpy
     calls of a plain ``|xi|^p / p``.  No method calls another public
-    method of the density.
+    method of the density.  A subclass gives its certified ``(k, lam)``
+    by :meth:`_certified`; the other defaults are the same for every
+    block layout: ``Lam = 1/p``, and ``beta = 1/2`` at ``p = 2``, else 0.
     """
 
     mirror_invariant = True
+
+    def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
+        k, certified_lam = self._certified(p)
+        lam = certified_lam if lam is None else lam
+        Lam = 1.0 / p if Lam is None else Lam
+        beta = (0.5 if p == 2 else 0.0) if beta is None else beta
+        super().__init__(p, k, lam, Lam, beta, r, n)
+
+    @staticmethod
+    @abc.abstractmethod
+    def _certified(p: float) -> tuple[float, float]:
+        """The certified coupling exponent ``k`` and lower constant ``lam`` at ``p``."""
 
     def _blocks(self, a) -> tuple:
         return (a,)
@@ -279,18 +295,9 @@ class PDirichletDensity(_PowerDensity):
 
     kind = "p-dirichlet"
 
-    def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
-        k = 0.0 if p == 2 else 2.0
-        b = 0.5 if p == 2 else 0.0
-        super().__init__(
-            p,
-            k,
-            1.0 / p if lam is None else lam,
-            1.0 / p if Lam is None else Lam,
-            b if beta is None else beta,
-            r,
-            n,
-        )
+    @staticmethod
+    def _certified(p):
+        return (0.0 if p == 2 else 2.0), 1.0 / p
 
     def coupling(self, xi):
         xi = np.asarray(xi, dtype=float)
@@ -307,17 +314,9 @@ class SeparablePowerDensity(_PowerDensity):
 
     kind = "separable-p"
 
-    def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
-        b = 0.5 if p == 2 else 0.0
-        super().__init__(
-            p,
-            0.0,
-            2.0 ** (1 - p / 2) / p if lam is None else lam,
-            1.0 / p if Lam is None else Lam,
-            b if beta is None else beta,
-            r,
-            n,
-        )
+    @staticmethod
+    def _certified(p):
+        return 0.0, 2.0 ** (1 - p / 2) / p
 
     def _blocks(self, a):
         return a[..., : self.r], a[..., self.r:]
@@ -366,12 +365,24 @@ def _sample_points(rng: np.random.Generator, count: int, dim: int) -> np.ndarray
     return mag[:, None] * direction / norms[:, None]
 
 
-def _make_report(hypothesis: str, margins: np.ndarray, witness_fn) -> HypothesisReport:
-    violations = int(np.count_nonzero(margins > 0))
-    worst = float(np.max(margins)) if margins.size else float("-inf")
-    order = np.argsort(margins)[::-1][:5]
-    witnesses = [witness_fn(int(i)) for i in order if margins[i] > 0]
-    return HypothesisReport(hypothesis, margins.size, violations, worst, witnesses)
+def _audit(hypothesis: str, samples: int, seed: int, draw) -> HypothesisReport:
+    """Sample one hypothesis with the generator of ``seed``.
+
+    ``draw(rng)`` returns the sample points by name and a list of ``(check,
+    gap, scale)`` entries, each array with one row per sample.  A margin
+    ``gap / scale - AUDIT_SLACK`` that is not ``<= 0``, NaN included, is a
+    violation; the five worst violations are kept as witnesses.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    points, checks = draw(np.random.default_rng(seed))
+    gaps = np.concatenate([gap for _, gap, _ in checks])
+    margins = np.concatenate([gap / scale - AUDIT_SLACK for _, gap, scale in checks])
+    violated = ~(margins <= 0)
+    worst = [i for i in np.argsort(margins)[::-1][:5] if violated[i]]  # NaN sorts last: first here
+    witnesses = [{"check": checks[i // samples][0], **{k: v[i % samples].tolist() for k, v in points.items()},
+                  "gap": float(gaps[i]), "margin": float(margins[i])} for i in worst]
+    return HypothesisReport(hypothesis, margins.size, int(violated.sum()), float(np.max(margins)), witnesses)
 
 
 def audit_growth(d: EnergyDensity, samples: int, seed: int) -> HypothesisReport:
@@ -382,34 +393,25 @@ def audit_growth(d: EnergyDensity, samples: int, seed: int) -> HypothesisReport:
     Margins are normalized by the local magnitude scale so equality-tight
     constants audit clean; deterministic given ``(samples, seed)``.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    xi = _sample_points(rng, samples, d.n)
-    F = d.value(xi)
-    full = np.sqrt(_sq(xi)) ** d.p
-    checks = [
-        ("coercivity-lower", d.lam * full - F, 1.0 + d.lam * full + np.abs(F)),
-        ("growth-upper", F - d.Lam * (full + 1.0), 1.0 + d.Lam * (full + 1.0) + np.abs(F)),
-    ]
-    if 0 < d.r < d.n:
-        nh = np.sqrt(_sq(xi[..., : d.r]))
-        nv = np.sqrt(_sq(xi[..., d.r:]))
-        env = nh**d.p + d.k * nv ** (d.p - d.k) * nh**d.k
-        G = d.coupling(xi)
-        scale = 1.0 + d.Lam * env + np.abs(G)
-        checks.append(("coupling-lower", d.lam * env - G, scale))
-        checks.append(("coupling-upper", G - d.Lam * env, scale))
+    def draw(rng):
+        xi = _sample_points(rng, samples, d.n)
+        F = d.value(xi)
+        full = np.sqrt(_sq(xi)) ** d.p
+        checks = [
+            ("coercivity-lower", d.lam * full - F, 1.0 + d.lam * full + np.abs(F)),
+            ("growth-upper", F - d.Lam * (full + 1.0), 1.0 + d.Lam * (full + 1.0) + np.abs(F)),
+        ]
+        if 0 < d.r < d.n:
+            nh = np.sqrt(_sq(xi[..., : d.r]))
+            nv = np.sqrt(_sq(xi[..., d.r:]))
+            env = nh**d.p + d.k * nv ** (d.p - d.k) * nh**d.k
+            G = d.coupling(xi)
+            scale = 1.0 + d.Lam * env + np.abs(G)
+            checks.append(("coupling-lower", d.lam * env - G, scale))
+            checks.append(("coupling-upper", G - d.Lam * env, scale))
+        return {"xi": xi}, checks
 
-    margins = np.concatenate([gap / scale - AUDIT_SLACK for _, gap, scale in checks])
-    gaps = np.concatenate([gap for _, gap, _ in checks])
-
-    def witness(i: int) -> dict:
-        name = checks[i // samples][0]
-        j = i % samples
-        return {"check": name, "xi": xi[j].tolist(), "gap": float(gaps[i]), "margin": float(margins[i])}
-
-    return _make_report("growth-and-coercivity", margins, witness)
+    return _audit("growth-and-coercivity", samples, seed, draw)
 
 
 def audit_uniform_strict_convexity(d: EnergyDensity, samples: int, seed: int) -> HypothesisReport:
@@ -419,49 +421,32 @@ def audit_uniform_strict_convexity(d: EnergyDensity, samples: int, seed: int) ->
     - beta th mu (th^(p-1) + mu^(p-1)) |a - b|^p`` at random pairs and
     convex weights.  Rejected when the density claims no ``beta``.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
     if d.beta <= 0:
         raise ValueError("density declares no uniform-strict-convexity constant (beta = 0)")
-    rng = np.random.default_rng(seed)
-    dim = d.n - d.r
-    a = _sample_points(rng, samples, dim)
-    b = _sample_points(rng, samples, dim)
-    theta = rng.uniform(0.0, 1.0, samples)
-    mu = 1.0 - theta
-    Fa, Fb = d.vertical(a), d.vertical(b)
-    lhs = d.vertical(theta[:, None] * a + mu[:, None] * b)
-    excess = d.beta * theta * mu * (theta ** (d.p - 1) + mu ** (d.p - 1)) * np.sqrt(_sq(a - b)) ** d.p
-    gap = lhs - (theta * Fa + mu * Fb - excess)
-    scale = 1.0 + theta * np.abs(Fa) + mu * np.abs(Fb) + excess
-    margins = gap / scale - AUDIT_SLACK
 
-    def witness(i: int) -> dict:
-        return {
-            "xi": a[i].tolist(),
-            "zeta": b[i].tolist(),
-            "theta": float(theta[i]),
-            "gap": float(gap[i]),
-            "margin": float(margins[i]),
-        }
+    def draw(rng):
+        dim = d.n - d.r
+        a = _sample_points(rng, samples, dim)
+        b = _sample_points(rng, samples, dim)
+        theta = rng.uniform(0.0, 1.0, samples)
+        mu = 1.0 - theta
+        Fa, Fb = d.vertical(a), d.vertical(b)
+        lhs = d.vertical(theta[:, None] * a + mu[:, None] * b)
+        excess = d.beta * theta * mu * (theta ** (d.p - 1) + mu ** (d.p - 1)) * np.sqrt(_sq(a - b)) ** d.p
+        gap = lhs - (theta * Fa + mu * Fb - excess)
+        scale = 1.0 + theta * np.abs(Fa) + mu * np.abs(Fb) + excess
+        return {"xi": a, "zeta": b, "theta": theta}, [("uniform-strict-convexity", gap, scale)]
 
-    return _make_report("uniform-strict-convexity", margins, witness)
+    return _audit("uniform-strict-convexity", samples, seed, draw)
 
 
 def audit_convexity_midpoint(d: EnergyDensity, samples: int, seed: int) -> HypothesisReport:
     """Sample midpoint convexity ``F((a+b)/2) <= (F(a) + F(b)) / 2``."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    a = _sample_points(rng, samples, d.n)
-    b = _sample_points(rng, samples, d.n)
-    Fa, Fb = d.value(a), d.value(b)
-    gap = d.value(0.5 * (a + b)) - 0.5 * (Fa + Fb)
-    scale = 1.0 + np.abs(Fa) + np.abs(Fb)
-    margins = gap / scale - AUDIT_SLACK
+    def draw(rng):
+        a = _sample_points(rng, samples, d.n)
+        b = _sample_points(rng, samples, d.n)
+        Fa, Fb = d.value(a), d.value(b)
+        gap = d.value(0.5 * (a + b)) - 0.5 * (Fa + Fb)
+        return {"xi": a, "zeta": b}, [("midpoint-convexity", gap, 1.0 + np.abs(Fa) + np.abs(Fb))]
 
-    def witness(i: int) -> dict:
-        return {"xi": a[i].tolist(), "zeta": b[i].tolist(), "gap": float(gap[i]), "margin": float(margins[i])}
-
-    return _make_report("midpoint-convexity", margins, witness)
-
+    return _audit("midpoint-convexity", samples, seed, draw)

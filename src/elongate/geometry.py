@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -42,8 +43,8 @@ class CrossSection:
     def __post_init__(self) -> None:
         if self.shape not in ("box", "ball"):
             raise ValueError(f"unknown cross-section shape {self.shape!r}")
-        if self.r < 1:
-            raise ValueError("cross-section needs at least one axis")
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral) or self.r < 1:
+            raise ValueError(f"cross-section needs an integer number of axes r >= 1, got {self.r!r}")
 
 
 def _dot(a, b) -> np.ndarray:
@@ -92,6 +93,17 @@ def cutoff(cs: CrossSection, xp, s: float, t: float) -> np.ndarray | float:
     return np.clip((s - g) / (s - t), 0.0, 1.0)
 
 
+def _halfwidths(values: Sequence[float]) -> tuple[float, ...]:
+    """The vertical halfwidths as floats: at least one, each in ``(0, inf)``.
+
+    Here and below, every range check is written so that NaN fails it.
+    """
+    out = tuple(float(w) for w in values)
+    if not (out and all(0 < w < math.inf for w in out)):
+        raise ValueError(f"need at least one vertical axis, each halfwidth positive and finite, got {out}")
+    return out
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Product domain: the cross-section dilated by ``ell`` times a fixed box.
@@ -105,15 +117,9 @@ class DomainSpec:
     vertical_halfwidths: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "vertical_halfwidths", tuple(float(w) for w in self.vertical_halfwidths)
-        )
-        if self.ell <= 0:
-            raise ValueError("elongation must be positive")
-        if not self.vertical_halfwidths:
-            raise ValueError("need at least one vertical axis")
-        if any(w <= 0 for w in self.vertical_halfwidths):
-            raise ValueError("vertical halfwidths must be positive")
+        object.__setattr__(self, "vertical_halfwidths", _halfwidths(self.vertical_halfwidths))
+        if not 0 < self.ell < math.inf:
+            raise ValueError(f"elongation must be positive and finite, got {self.ell!r}")
 
     @property
     def r(self) -> int:
@@ -200,6 +206,14 @@ class Grid:
         return gauge(self.cross_section, np.stack(mesh, axis=-1))
 
 
+def _check_spacing(target_h: float, max_nodes: int | None) -> None:
+    """Check a grid's spacing target and its node budget, if any: each in ``(0, inf)``."""
+    if not 0 < target_h < math.inf:
+        raise ValueError(f"target spacing must be positive and finite, got {target_h!r}")
+    if max_nodes is not None and not 0 < max_nodes < math.inf:
+        raise ValueError(f"max_nodes must be positive and finite, got {max_nodes!r}")
+
+
 def _assemble_grid(
     r: int,
     ell: float,
@@ -209,8 +223,7 @@ def _assemble_grid(
     target_h: float,
     max_nodes: int | None,
 ) -> Grid:
-    if target_h <= 0:
-        raise ValueError("target spacing must be positive")
+    _check_spacing(target_h, max_nodes)
     if target_h > min(extents) * (1 + 1e-12):
         raise ValueError("target spacing must not exceed the smallest axis extent")
     ratios = [e / target_h for e in extents]
@@ -258,9 +271,7 @@ def build_vertical_grid(
     vertical node coordinates coincide exactly with the vertical axes of
     every full grid built at the same ``target_h``.
     """
-    halfwidths = [float(w) for w in halfwidths]
-    if not halfwidths or any(w <= 0 for w in halfwidths):
-        raise ValueError("vertical halfwidths must be positive")
+    halfwidths = _halfwidths(halfwidths)
     extents = [2.0 * w for w in halfwidths]
     los = [-w for w in halfwidths]
     return _assemble_grid(0, 0.0, None, extents, los, target_h, max_nodes)

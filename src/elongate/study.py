@@ -28,7 +28,7 @@ from .field import (
     _norm_p,
     _vertical_on,
 )
-from .geometry import CrossSection, DomainSpec, Grid, build_grid, build_vertical_grid
+from .geometry import CrossSection, DomainSpec, Grid, _check_spacing, build_grid, build_vertical_grid
 from .solver import SolveOptions, SolveReport, _upper_half, minimize, solve_limit
 
 
@@ -53,28 +53,16 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ells", tuple(float(e) for e in self.ells))
-        object.__setattr__(
-            self, "vertical_halfwidths", tuple(float(w) for w in self.vertical_halfwidths)
-        )
         if not self.ells:
             raise ValueError("need at least one elongation")
-        # range checks are written so that NaN fails them
-        if not all(0 < e < math.inf for e in self.ells):
-            raise ValueError(f"elongations must be positive and finite, got {self.ells}")
-        if not self.vertical_halfwidths:
-            raise ValueError("need at least one vertical axis")
-        if not all(0 < w < math.inf for w in self.vertical_halfwidths):
-            raise ValueError(
-                f"vertical halfwidths must be positive and finite, got {self.vertical_halfwidths}"
-            )
-        if not 0 < self.target_h < math.inf:
-            raise ValueError(f"target_h must be positive and finite, got {self.target_h}")
+        # the domain and grid constructors own every other range
+        domains = [DomainSpec(self.cross_section, ell, self.vertical_halfwidths) for ell in self.ells]
+        object.__setattr__(self, "vertical_halfwidths", domains[0].vertical_halfwidths)
+        _check_spacing(self.target_h, self.max_nodes)
         if any(b <= a for a, b in zip(self.ells, self.ells[1:])):
             raise ValueError("elongations must be strictly ascending")
         if not 0 < self.ell0 <= self.ells[0]:
             raise ValueError("ell0 must lie in (0, min(ells)]")
-        if self.max_nodes is not None and not 0 < self.max_nodes < math.inf:
-            raise ValueError(f"max_nodes must be positive and finite, got {self.max_nodes}")
 
 
 @dataclass
@@ -320,27 +308,24 @@ class Verdict:
     note: str = ""
 
 
-def power_rate_target(density: EnergyDensity, r: int) -> float:
-    """Predicted power-law exponent bound: ``r - k p / (p - k)``."""
-    return r - density.k * density.p / (density.p - density.k)
+def power_rate_target(density: EnergyDensity) -> float:
+    """Predicted power-law exponent bound: ``r - k p / (p - k)``, ``r`` the density's."""
+    return density.r - density.k * density.p / (density.p - density.k)
 
 
-def convergence_verdicts(
-    records: Sequence[SweepRecord],
-    density: EnergyDensity,
-    r: int,
-    fits: dict[str, RateFit],
-) -> list[Verdict]:
+def convergence_verdicts(records: Sequence[SweepRecord], density: EnergyDensity,
+                         fits: dict[str, RateFit]) -> list[Verdict]:
     """Empirical pass/fail verdicts over a sweep.
 
-    Rate verdicts apply according to the density's ``(k, beta)``: the
-    power-law bound needs ``0 < k < p`` with ``r < k p / (p - k)``, the
-    exponential rate needs ``k = 0`` with a claimed ``beta > 0``; the
-    others are marked skipped.  When every fitted point sits at or below
-    the fit floor the decay is treated as passed at the tolerance floor.
+    ``r`` is the density's horizontal dimension.  Rate verdicts apply
+    according to the density's ``(k, beta)``: the power-law bound needs
+    ``0 < k < p`` with ``r < k p / (p - k)``, the exponential rate needs
+    ``k = 0`` with a claimed ``beta > 0``; the others are marked skipped.
+    When every fitted point sits at or below the fit floor the decay is
+    treated as passed at the tolerance floor.
     """
     good = [rec for rec in records if rec.converged]
-    p, k = density.p, density.k
+    p, k, r = density.p, density.k, density.r
     few = "fewer than three converged records"
 
     scal = [rec for rec in good if rec.ell >= _SCALING_ELL_MIN]
@@ -377,7 +362,7 @@ def convergence_verdicts(
         ]
 
     if 0 < k < p and r < k * p / (p - k):
-        target = power_rate_target(density, r)
+        target = power_rate_target(density)
         verdicts.append(_rate_verdict(
             "power", fits, _fit_series(good, "power", p), {"target": target},
             lambda f: (f.n_points >= 3 and f.r2 >= _POWER_R2_MIN and f.exponent <= target + _POWER_SLACK,

@@ -322,8 +322,12 @@ def test_solver_failure_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", domain={"r": 2, "cross_section": "ball"},
                         density={"kind": "p-dirichlet", "p": 4.0},
                         solver={"max_iters": 1, "grad_tol": 1e-12})
-    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "converge" in capsys.readouterr().err
+    for command in ("solve", "profile"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "converge" in capsys.readouterr().err
+        # written right after the run, whatever its outcome
+        assert (out / "resolved-config.json").exists()
 
 
 def test_resolved_config_round_trip(tmp_path):
@@ -442,6 +446,12 @@ def test_audit_density_wrong_constant_fails(tmp_path, capsys):
                "--seed", "1"])
     assert rc == 3
     assert "violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--lam", "--Lam", "--beta"])
+def test_audit_density_rejects_a_nan_constant(flag, capsys):
+    assert main(["audit-density", "--kind", "quadratic", flag, "nan", "--samples", "100"]) == 1
+    assert "finite" in capsys.readouterr().err
 
 
 def test_audit_density_byte_identical_given_seed(tmp_path):

@@ -244,6 +244,24 @@ def test_audit_midpoint_flags_concave_probe():
     assert rep.violations > 0
 
 
+class _NaNProbe(PDirichletDensity):
+    """The quadratic form, but NaN wherever the last component exceeds 1."""
+
+    def value(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        return np.where(xi[..., -1] > 1.0, np.nan, super().value(xi))
+
+
+@pytest.mark.parametrize("audit", [audit_growth, audit_uniform_strict_convexity, audit_convexity_midpoint])
+def test_audit_counts_a_nan_margin_as_a_violation(audit):
+    # the quadratic's certified constants hold wherever the value is a number
+    rep = audit(_NaNProbe(2.0, r=1, n=2), 2000, seed=4)
+    assert 0 < rep.violations < rep.samples
+    assert np.isnan(rep.worst_margin)
+    assert len(rep.witnesses) == 5
+    assert all(np.isnan(w["margin"]) and w["check"] for w in rep.witnesses)
+
+
 @pytest.mark.parametrize("d", ALL + [_ConcaveProbe()], ids=ALL_IDS + ["concave-probe"])
 def test_line_increment_matches_value_increment(d):
     # built-ins override line_increment; the concave probe uses the base fallback

@@ -9,7 +9,8 @@ core norms (``p = 2``, core ``|x| < ell0``) follow by orthogonality in
 ``y``.  Sweeps at ``h = 1/16`` and ``1/32`` converge at ``O(h^2)``, so
 the Richardson value ``(4 E_32 - E_16) / 3`` is compared with them.
 Their local decay rates are compared with the exact decay rate of the
-discrete scheme, which differs from ``pi/2`` by ``O(h^2)``.
+discrete scheme, which differs from ``pi/2`` by ``O(h^2)``.  On a disc
+cross-section the same rate sets a radial decay through ``I_0``.
 """
 
 import math
@@ -166,3 +167,27 @@ def test_local_decay_rate_at_unequal_spacings():
     assert max(abs(rate - mu) for rate in rates) <= 2e-6, (mu, rates)
     for other in (discrete_decay_rate(h_y, h_y), discrete_decay_rate(h_x, h_x)):
         assert min(abs(rate - other) for rate in rates) > 1e-4
+
+
+def test_local_decay_rate_on_the_disc():
+    # on the disc of radius ell the slowest vertical mode of the error solves
+    # (Laplacian - mu^2) v = 0 horizontally; the radial solution regular at
+    # the centre is I_0(mu rho), so the core error falls like 1 / I_0(mu ell)
+    # and sqrt(err_grad_p) has the local rate ln(I_0(mu (ell+1)) / I_0(mu ell)).
+    # Measured at h = 1/16: +0.038, -0.023, +0.013, +0.006, -0.009, -0.036
+    # from ell = 2 on, the staircase boundary's first-order error; the box's
+    # rate mu is 0.18 away at ell = 2
+    cfg = SweepConfig(
+        cross_section=CrossSection("ball", 2), vertical_halfwidths=(1.0,),
+        ells=tuple(float(e) for e in range(2, 9)), target_h=1 / 16,
+        density=make_density("quadratic", r=2, n=3), load=Load.constant(2.0),
+        options=SolveOptions(grad_tol=1e-10), ell0=ELL0, warm_start=False,
+    )
+    records = run_sweep(cfg).records
+    assert all(r.converged for r in records)
+    mu = discrete_decay_rate(records[0].h_horiz, records[0].h_vert)
+    rates = [0.5 * math.log(a.err_grad_p / b.err_grad_p) for a, b in zip(records, records[1:])]
+    targets = [math.log(np.i0(mu * b.ell) / np.i0(mu * a.ell)) for a, b in zip(records, records[1:])]
+    assert len(rates) == 6
+    assert max(abs(rate - target) for rate, target in zip(rates, targets)) <= 0.05, (rates, targets)
+    assert abs(rates[0] - mu) > 0.1

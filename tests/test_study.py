@@ -97,7 +97,7 @@ def test_fit_rate_rejects_non_finite_elongations(model, bad):
 
 
 def test_power_rate_target_p4():
-    assert power_rate_target(make_density("p-dirichlet", 4.0, r=1, n=2), 1) == pytest.approx(-3.0)
+    assert power_rate_target(make_density("p-dirichlet", 4.0, r=1, n=2)) == pytest.approx(-3.0)
 
 
 def test_run_sweep_quadratic_errors_decrease():
@@ -207,17 +207,46 @@ def test_sweep_config_validation():
         _sweep_config(ell0=5.0)
     with pytest.raises(ValueError, match="need at least one vertical axis"):  # as DomainSpec says
         _sweep_config(vertical_halfwidths=())
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            _sweep_config(ells=(2.0, bad))
-        with pytest.raises(ValueError):
-            _sweep_config(ell0=bad)
-        with pytest.raises(ValueError):
-            _sweep_config(max_nodes=bad)
-        with pytest.raises(ValueError):
-            _sweep_config(vertical_halfwidths=(bad,))
-        with pytest.raises(ValueError):
-            _sweep_config(target_h=bad)
+
+
+#: Every range a constructor owns: a builder from one value, and a value
+#: that passes.  A sweep config checks its domain and grid ranges through
+#: those owners.
+_RANGES = {
+    "CrossSection.r": (lambda v: CrossSection("box", v), 2),
+    "DomainSpec.ell": (lambda v: DomainSpec(CS1, v, (1.0,)), 2.0),
+    "DomainSpec.halfwidths": (lambda v: DomainSpec(CS1, 2.0, (1.0, v)), 0.5),
+    "build_grid.target_h": (lambda v: build_grid(DomainSpec(CS1, 2.0, (1.0,)), v), 0.5),
+    "build_grid.max_nodes": (lambda v: build_grid(DomainSpec(CS1, 2.0, (1.0,)), 0.5, v), 100),
+    "build_vertical_grid.halfwidths": (lambda v: build_vertical_grid((v,), 0.5), 1.0),
+    "build_vertical_grid.target_h": (lambda v: build_vertical_grid((1.0,), v), 0.5),
+    "build_vertical_grid.max_nodes": (lambda v: build_vertical_grid((1.0,), 0.5, v), 100),
+    "make_density.p": (lambda v: make_density("p-dirichlet", v), 3.0),
+    "make_density.lam": (lambda v: make_density("quadratic", lam=v), 0.6),
+    "make_density.Lam": (lambda v: make_density("quadratic", Lam=v), 0.6),
+    "make_density.beta": (lambda v: make_density("quadratic", beta=v), 0.0),
+    "SweepConfig.ells": (lambda v: _sweep_config(ells=(2.0, v)), 3.0),
+    "SweepConfig.first_ell": (lambda v: _sweep_config(ells=(v, 5.0)), 2.0),
+    "SweepConfig.ell0": (lambda v: _sweep_config(ell0=v), 0.5),
+    "SweepConfig.halfwidths": (lambda v: _sweep_config(vertical_halfwidths=(v,)), 0.5),
+    "SweepConfig.target_h": (lambda v: _sweep_config(target_h=v), 0.25),
+    "SweepConfig.max_nodes": (lambda v: _sweep_config(max_nodes=v), 100),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("owner", list(_RANGES))
+def test_every_range_rejects_nonfinite_values(owner, bad):
+    build, good = _RANGES[owner]
+    build(good)
+    with pytest.raises(ValueError):
+        build(bad)
+
+
+@pytest.mark.parametrize("r", [1.5, True, "1"])
+def test_cross_section_axis_count_is_an_integer(r):
+    with pytest.raises(ValueError, match="integer"):
+        CrossSection("box", r)
 
 
 class _FlipBlind(PDirichletDensity):
@@ -350,7 +379,7 @@ def test_verdicts_quadratic_applicability():
         "power": fit_rate([(r.ell, r.err_w1p) for r in records], "power"),
         "exponential": fit_rate([(r.ell, r.err_grad_p ** 0.5) for r in records], "exponential"),
     }
-    verdicts = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}
+    verdicts = {v.name: v for v in convergence_verdicts(records, d, fits)}
     assert verdicts["power_rate"].applicable is False
     assert verdicts["exponential_rate"].applicable is True
     assert verdicts["exponential_rate"].passed is True
@@ -365,7 +394,7 @@ def test_verdicts_p4_power_rate():
     errs = [0.5 * ell**-4.0 for ell in ells]
     records = _fake_records(ells, errs, tge=[5.0 * ell for ell in ells])
     fits = {"power": fit_rate([(r.ell, r.err_w1p) for r in records], "power")}
-    verdicts = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}
+    verdicts = {v.name: v for v in convergence_verdicts(records, d, fits)}
     assert verdicts["exponential_rate"].applicable is False
     v = verdicts["power_rate"]
     assert v.applicable and v.passed is True
@@ -378,7 +407,7 @@ def test_verdicts_power_rate_fails_when_decay_too_slow():
     errs = [0.5 * ell**-1.0 for ell in ells]
     records = _fake_records(ells, errs)
     fits = {"power": fit_rate([(r.ell, r.err_w1p) for r in records], "power")}
-    verdicts = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}
+    verdicts = {v.name: v for v in convergence_verdicts(records, d, fits)}
     assert verdicts["power_rate"].passed is False
 
 
@@ -391,7 +420,7 @@ def test_verdicts_power_rate_needs_fit_quality():
     records = _fake_records(ells, errs)
     fit = fit_rate([(r.ell, r.err_w1p) for r in records], "power")
     assert fit.r2 < 0.9
-    verdicts = {v.name: v for v in convergence_verdicts(records, d, 1, {"power": fit})}
+    verdicts = {v.name: v for v in convergence_verdicts(records, d, {"power": fit})}
     assert verdicts["power_rate"].passed is False
 
 
@@ -406,7 +435,7 @@ def test_verdicts_pass_at_tolerance_floor():
         "power": fit_rate([(r.ell, r.err_w1p) for r in records], "power", floor),
         "exponential": fit_rate([(r.ell, r.err_grad_p ** 0.5) for r in records], "exponential", floor),
     }
-    verdicts = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}
+    verdicts = {v.name: v for v in convergence_verdicts(records, d, fits)}
     assert verdicts["exponential_rate"].passed is True
     assert "floor" in verdicts["exponential_rate"].note
     assert verdicts["coarse_energy_scaling"].passed is True
@@ -421,7 +450,7 @@ def test_verdicts_do_not_pass_a_nan_error_at_the_floor(at):
     errs[at] = math.nan
     records = _fake_records(list(range(2, 7)), errs)
     fits = {"exponential": fit_rate([(r.ell, r.err_grad_p ** 0.5) for r in records], "exponential", 1e-8)}
-    verdict = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}["exponential_rate"]
+    verdict = {v.name: v for v in convergence_verdicts(records, d, fits)}["exponential_rate"]
     assert (verdict.passed, verdict.note) == (None, "insufficient data")
 
 
@@ -429,7 +458,7 @@ def test_verdicts_indeterminate_with_insufficient_fit():
     d = make_density("quadratic", r=1, n=2)
     records = _fake_records([2.0, 3.0], [1e-2, 1e-3])
     fits = {"exponential": fit_rate([(r.ell, r.err_grad_p ** 0.5) for r in records], "exponential")}
-    verdicts = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}
+    verdicts = {v.name: v for v in convergence_verdicts(records, d, fits)}
     assert verdicts["exponential_rate"].passed is None
     assert verdicts["coarse_energy_scaling"].passed is None
 
@@ -443,7 +472,7 @@ def test_verdicts_exclude_nonconverged_records():
             [(r.ell, r.err_grad_p ** 0.5) for r in records if r.converged], "exponential"
         )
     }
-    verdicts = {v.name: v for v in convergence_verdicts(records, d, 1, fits)}
+    verdicts = {v.name: v for v in convergence_verdicts(records, d, fits)}
     assert verdicts["interior_error_bounded"].passed is True
 
 
