@@ -53,6 +53,12 @@ class HypothesisReport:
     witnesses: list[dict] = field(default_factory=list)
 
 
+def _check_p(p: float) -> None:
+    """Reject a growth exponent outside ``[2, inf)``, NaN included."""
+    if not 2 <= p < math.inf:
+        raise ValueError(f"densities are restricted to finite growth exponents p >= 2, got {p!r}")
+
+
 class EnergyDensity(abc.ABC):
     """Convex density on gradient vectors, split against an ``(r, n)`` layout.
 
@@ -73,8 +79,7 @@ class EnergyDensity(abc.ABC):
 
     def __init__(self, p: float, k: float, lam: float, Lam: float, beta: float, r: int, n: int):
         # every range check is written so that NaN fails it
-        if not 2 <= p < math.inf:
-            raise ValueError(f"densities are restricted to finite growth exponents p >= 2, got {p!r}")
+        _check_p(p)
         if not 0 <= k < p:
             raise ValueError("coupling exponent must satisfy 0 <= k < p")
         # lam <= Lam is not enforced: audits are routinely pointed at
@@ -237,6 +242,7 @@ class _PowerDensity(EnergyDensity):
     mirror_invariant = True
 
     def __init__(self, p: float, r: int, n: int, lam=None, Lam=None, beta=None):
+        _check_p(p)  # before ``_certified``, which may overflow at a huge |p|
         k, certified_lam = self._certified(p)
         lam = certified_lam if lam is None else lam
         Lam = 1.0 / p if Lam is None else Lam

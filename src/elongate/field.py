@@ -189,8 +189,12 @@ def load_cell_values(grid: Grid, load: Load) -> np.ndarray:
     return vals.reshape((1,) * grid.r + vals.shape)
 
 
-def _assemble_energy_arr(grid: Grid, values: np.ndarray, density, f_cells: np.ndarray) -> float:
-    grads = _cell_gradients_arr(grid, values)
+def _assemble_energy_arr(grid: Grid, values: np.ndarray, density, f_cells: np.ndarray,
+                         grads: np.ndarray | None = None) -> float:
+    """:func:`assemble_energy` of nodal ``values``, whose cell gradients
+    ``grads`` are derived here unless the caller already holds them."""
+    if grads is None:
+        grads = _cell_gradients_arr(grid, values)
     integrand = density.value(grads) - f_cells * _cell_means_arr(values)
     if grid.outside_cells is not None:
         integrand = np.where(grid.cell_mask, integrand, 0.0)
@@ -210,17 +214,32 @@ def _load_vector(grid: Grid, f_cells: np.ndarray) -> np.ndarray:
 
 
 def _assemble_gradient_arr(grid: Grid, grads: np.ndarray, density, load_vec: np.ndarray) -> np.ndarray:
-    """Energy gradient from the field's cell gradients and the nodal load vector."""
+    """Energy gradient from the field's cell gradients and the nodal load vector.
+
+    The flux of component ``a`` goes through the adjoint of the
+    difference along axis ``a`` and of the sum along every other axis.
+    Along the last axis every component but the last takes the sum, so
+    those are added first into ``s``, and with the last one's ``v`` one
+    pass gives node ``i`` the two terms ``(s + v)[i-1] + (s - v)[i]``.
+    """
     gF = density.grad(grads)
     outside = grid.outside_cells
-    out = None
+    last = grid.n - 1
+    s = None
     for a, scale in enumerate(_gradient_scales(grid.h)[1]):
         comp = np.multiply(gF[..., a], scale)
         if outside is not None:
             np.copyto(comp, 0.0, where=outside)
-        for b in range(grid.n):
+        for b in range(last):
             comp = _pair_adjoint(comp, b, b == a)
-        out = comp if out is None else np.add(out, comp, out=out)
+        if a < last:
+            s = comp if s is None else np.add(s, comp, out=s)
+    upper, lower, first, inner, end = _edges(last)
+    plus, minus = (comp, np.negative(comp)) if s is None else (s + comp, np.subtract(s, comp, out=s))
+    out = np.empty(grid.shape)
+    out[first] = minus[first]
+    np.add(plus[lower], minus[upper], out=out[inner])
+    out[end] = plus[end]
     out -= load_vec
     out[grid.dirichlet] = 0.0
     return out

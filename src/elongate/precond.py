@@ -16,7 +16,10 @@ nodes by vertical modes.  A mirror-symmetric problem comes halved along
 its symmetric axes (:func:`elongate.solver._halve`), and a halved axis
 transforms to its odd modes alone; halving is what keeps a symmetric
 solution exactly symmetric.  Everything but the arithmetic is set up
-once per solve.
+once per solve, apart from the correction's dense operators: the first
+application solves their systems for its own right-hand sides, and the
+second forms them for every later one, so a one-iteration quadratic
+solve never forms them.
 """
 
 from __future__ import annotations
@@ -194,8 +197,9 @@ def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarr
     2`` cells is the upper half of ``N``, its first node is free and only
     its odd modes occur, each taken twice (the factor ``2^k`` for ``k``
     halved axes).  Everything but the arithmetic is set up here, once
-    per solve; each application ping-pongs between interior-size arrays
-    of its own.
+    per solve, except the correction's operators, which its second
+    application forms (:func:`_capacitance`); each application ping-pongs
+    between interior-size arrays of its own.
     """
     r, inner = grid.r, tuple(slice(0 if a in halved else 1, -1) for a in range(grid.n))
     shape = tuple(m if a in halved else m - 1 for a, m in enumerate(grid.cell_shape))
@@ -329,14 +333,20 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     pairs entries into sums and differences, and ``G_k`` and ``E_k``
     (symmetric, commuting with the maps) split into one block per parity
     class, whose rows are the folded columns at each entry's
-    representative node.  ``(I + E_k G_k)^-1 E_k`` is one batched solve
-    per class: for ``f`` maps, ``2^f`` solves of about ``m / 2^f`` rows.
+    representative node: for ``f`` maps, ``2^f`` classes of about ``m /
+    2^f`` rows.
 
     Returns ``correct(z)``, ``U E y`` for the box solution ``z`` as
     :func:`_box_inverse` holds it before the vertical inverse transforms
     (horizontal nodes by vertical modes) and in that space, or ``None``
     when ``Gamma`` is empty.  ``Qh W Qh^T = I`` (:class:`_SineAxis`)
     cancels the mid-plane weights of a halved vertical axis there.
+    Its first call solves ``(I + E_k G_k) y = E_k U^T z`` for its one
+    right-hand side per mode, one batched solve per class; its second
+    forms ``(I + E_k G_k)^-1 E_k`` per class and keeps it, and every later
+    call applies it.  So the set-up stops at ``I + E_k G_k`` and ``E_k``,
+    and a quadratic solve, which applies the correction once, never forms
+    the operators.
     """
     r, n = grid.r, grid.n
     vert = tuple(range(r, n))
@@ -430,24 +440,30 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     _green_sums(axes[0].cells, axes[0].half, s * (v_mass[:, None] * s_rest + v_stiff[:, None] * c_rest),
                 s * 4.0 / grid.h[0] ** 2 * v_mass[:, None] * c_rest, coords[:, 0], rest, reps,
                 folded[:, :-2].transpose(1, 0, 2))
-    folded, modes, blocks = fold(folded), np.stack((v_mass, v_stiff), axis=1), []
+    folded, modes, systems = fold(folded), np.stack((v_mass, v_stiff), axis=1), []
     for rows in (np.flatnonzero(parity == p) for p in dict.fromkeys(parity.tolist())):  # not np.unique: numpy.ma
         block = folded[rows, :, np.searchsorted(reps, rep[rows])[:, None]].transpose(2, 0, 1)  # (part, row, col)
-        # E_k (I + G_k E_k)^-1 on the block; a fold is orthogonal, not
-        # orthonormal, hence the columns over their weights
+        # I + E_k G_k and E_k on the block; a fold is orthogonal, not
+        # orthonormal, hence the entries over their weights ``w``
         e = (modes @ block[-2:].reshape(2, -1)).reshape(-1, len(rows), len(rows))
         a = e @ block[:-2]
         a.reshape(len(a), -1)[:, ::len(rows) + 1] += 1.0
-        solves = np.linalg.solve(a, e)
-        solves /= c_v * weight[rows]
-        blocks.append((rows, solves))
+        systems.append((rows, a, e, c_v * weight[rows]))
 
     gather = tuple(k - sl.start for k, sl in zip(nodes, inner))  # Gamma's interior indices
+    operators, applied = [], False
 
     def correct(z: np.ndarray) -> np.ndarray:
+        nonlocal applied
         y = fold(z.reshape(z.shape[:r] + (-1,))[gather])
-        for rows, solves in blocks:  # the classes' rows are disjoint
-            y[rows] = np.matmul(solves, y[rows].T[:, :, None])[:, :, 0].T
+        if applied and systems:  # the second application forms the operators, for it and every later one
+            operators.extend((rows, np.linalg.solve(a, e) / w) for rows, a, e, w in systems)
+            systems.clear()
+        for rows, a, e, w in systems:  # the first: one right-hand side per mode; the classes' rows are disjoint
+            y[rows] = np.linalg.solve(a, e @ (y[rows] / w[:, None]).T[:, :, None])[:, :, 0].T
+        for rows, op in operators:
+            y[rows] = np.matmul(op, y[rows].T[:, :, None])[:, :, 0].T
+        applied = True
         c = np.zeros(z.shape)
         c.reshape(z.shape[:r] + (-1,))[gather] = unfold(y)
         return c

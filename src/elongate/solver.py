@@ -60,6 +60,7 @@ from .field import (
     _assemble_gradient_arr,
     _cell_gradients_arr,
     _load_vector,
+    _norm_p,
     extend_vertical,
     load_cell_values,
 )
@@ -119,6 +120,9 @@ class SolveReport:
     mirror_axes: list[int]
     #: Seconds of ``wall_time`` spent setting up the preconditioner.
     precond_s: float
+    #: ``sum vol |grad u|^p`` over the in-domain cells, ``p`` the density's:
+    #: the p-th power of the gradient's L^p norm, from the final cell gradients.
+    grad_norm_p: float = math.nan
 
 
 def default_grad_tol(density: EnergyDensity) -> float:
@@ -126,16 +130,35 @@ def default_grad_tol(density: EnergyDensity) -> float:
     return 1e-10 if density.p == 2 else 1e-9
 
 
-def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_norm):
+@dataclass
+class _Descent:
+    """What :func:`_descent` ends with: the iterate and its cell gradients,
+    derived from it afresh, with the counts and the final ``grad_max``."""
+
+    x: np.ndarray
+    grads: np.ndarray
+    iterations: int
+    trials: int
+    grad_max: float
+    converged: bool
+
+
+def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_norm) -> _Descent:
     vol = grid.cell_volume
     outside = grid.outside_cells
     trials = 0
 
-    Gx = _cell_gradients_arr(grid, x)
-    g = _assemble_gradient_arr(grid, Gx, density, load_vec)
+    fresh = True  # whether Gx was derived from x, not carried along steps
+    if not x.any() and not density.grad(np.zeros((1, grid.n))).any():
+        # the zero start: every cell gradient and, for a density with
+        # F'(0) = 0, every flux is 0, so the gradient is the load term alone
+        Gx, g = None, 0.0 - load_vec
+    else:
+        Gx = _cell_gradients_arr(grid, x)
+        g = _assemble_gradient_arr(grid, Gx, density, load_vec)
     gmax = max_norm(g)
     if gmax <= tol or not math.isfinite(gmax):
-        return x, 0, gmax, gmax <= tol, trials
+        return _finish(grid, x, Gx, fresh, 0, trials, gmax, gmax <= tol)
     z = precond(g)
     gz = float(np.vdot(g, z))
     d = -z
@@ -151,6 +174,8 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         Gd = _cell_gradients_arr(grid, d)
         if outside is not None:
             np.copyto(Gd, 0.0, where=outside[..., None])
+        if Gx is None:
+            Gx = np.zeros_like(Gd)
         line = density.line_energy(Gx, Gd)
         lin_d = float(np.vdot(load_vec, d))
 
@@ -173,7 +198,7 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         while not f <= _ARMIJO_C1 * alpha * m:
             alpha *= _BACKTRACK
             if alpha < _MIN_STEP:  # no acceptable step: iteration k takes none
-                return x, k - 1, gmax, False, trials
+                return _finish(grid, x, Gx, fresh, k - 1, trials, gmax, False)
             f = phi(alpha)
         x = x + alpha * d
         step = alpha
@@ -189,13 +214,13 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         Gd *= alpha
         Gx += Gd
         line = Gd = None
-        exact = k % 50 == 0
-        if exact:
+        fresh = k % 50 == 0
+        if fresh:
             Gx = _cell_gradients_arr(grid, x)
         g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
         gmax = max_norm(g_new)
-        if gmax <= tol and not exact:
-            Gx = _cell_gradients_arr(grid, x)
+        if gmax <= tol and not fresh:
+            Gx, fresh = _cell_gradients_arr(grid, x), True
             g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
             gmax = max_norm(g_new)
         if not math.isfinite(gmax):
@@ -215,7 +240,15 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         if m >= 0.0:  # restart: keep the direction a descent direction
             np.negative(z, out=d)
             m = -gz
-    return x, k, gmax, converged, trials
+    return _finish(grid, x, Gx, fresh, k, trials, gmax, converged)
+
+
+def _finish(grid, x, Gx, fresh, iterations, trials, gmax, converged) -> _Descent:
+    """The descent record, with the cell gradients of ``x`` derived once more
+    unless ``Gx`` already holds them fresh (a zero start leaves ``None``)."""
+    if Gx is None or not fresh:
+        Gx = _cell_gradients_arr(grid, x)
+    return _Descent(x, Gx, iterations, trials, gmax, converged)
 
 
 def _mirror_axes(grid: Grid, density: EnergyDensity, f_cells: np.ndarray) -> tuple[int, ...]:
@@ -315,8 +348,9 @@ def minimize(
     upper half of those axes, with ``2^k`` times less data per pass for
     ``k`` halved axes.  The warm start is cut to that half; the result
     and every callback's values are mirrored back to the full grid, and
-    the reported energy (``2^k`` times the halved grid's) and ``grad_max``
-    are the full grid's.
+    the reported energy and ``grad_norm_p`` (``2^k`` times the halved
+    grid's) and ``grad_max`` are the full grid's.  Both sums come from the
+    cell gradients that the descent derived from its final iterate.
     """
     opts = opts or SolveOptions()
     if density.n != grid.n:
@@ -340,14 +374,17 @@ def minimize(
     t0 = time.perf_counter()
     precond = _box_inverse(half, axes)
     precond_s = time.perf_counter() - t0
-    x, iters, gmax, converged, trials = _descent(
+    run = _descent(
         half, density, _load_vector(half, f_half), x0, tol, opts.max_iters,
         full_callback, precond, _max_norm(axes),
     )
     wall = time.perf_counter() - t0
-    field = ScalarField(grid, _mirror_back(x, axes))
-    energy = 2 ** len(axes) * _assemble_energy_arr(half, x, density, f_half)  # 2^k mirror images
-    return field, SolveReport(converged, iters, gmax, energy, wall, tol, trials, list(axes), precond_s)
+    field = ScalarField(grid, _mirror_back(run.x, axes))
+    images = 2 ** len(axes)  # the mirror images of the halved grid
+    energy = images * _assemble_energy_arr(half, run.x, density, f_half, run.grads)
+    grad_norm_p = images * _norm_p(half, run.grads, density.p, half.cell_mask)
+    return field, SolveReport(run.converged, run.iterations, run.grad_max, energy, wall, tol, run.trials,
+                              list(axes), precond_s, grad_norm_p)
 
 
 def solve_limit(

@@ -29,7 +29,7 @@ from .field import (
     _vertical_on,
 )
 from .geometry import CrossSection, DomainSpec, Grid, _check_spacing, build_grid, build_vertical_grid
-from .solver import SolveOptions, SolveReport, _upper_half, minimize, solve_limit
+from .solver import SolveOptions, SolveReport, minimize, solve_limit
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,14 @@ def _core_slab(grid: Grid, t: float, axes: tuple[int, ...] = ()) -> tuple[tuple[
 
 def _measure(grid: Grid, u: ScalarField, rep: SolveReport, w: ScalarField, wrep: SolveReport, p: float,
              ell0: float) -> dict:
-    """The norm columns of a record from the halved grid and the core slab.
+    """The norm columns of a record from the solve report and the core slab.
 
-    ``u`` and the limit ``w`` are mirror images about the mid-planes of
-    their ``mirror_axes``, so the gradient energy is ``2^k`` times the upper
-    half's, and the core slab is cut on the mid-planes of both; ``w`` is
-    extended over that slab alone.
+    The gradient energy is the report's ``grad_norm_p``.  ``u`` and the
+    limit ``w`` are mirror images about the mid-planes of their
+    ``mirror_axes``, so the core slab is cut on the mid-planes of both;
+    ``w`` is extended over that slab alone.
     """
     axes, r = tuple(rep.mirror_axes), grid.r
-    g_half = _cell_gradients_arr(grid, _upper_half(u.values, axes))
-    total = 2 ** len(axes) * _norm_p(grid, g_half, p, _upper_half(grid.cell_mask, axes))
     nodes, weights = _core_slab(grid, ell0, tuple(a for a in axes if a < r or a - r in wrep.mirror_axes))
     vals = u.values[nodes]
     ext = _vertical_on(w, grid, nodes)
@@ -148,7 +146,7 @@ def _measure(grid: Grid, u: ScalarField, rep: SolveReport, w: ScalarField, wrep:
     err_grad_p = _norm_p(grid, gu - _cell_gradients_arr(grid, ext), p, weights)
     err_val_p = _norm_p(grid, _cell_means_arr(vals) - _cell_means_arr(ext), p, weights)
     return {
-        "total_grad_energy": total,
+        "total_grad_energy": rep.grad_norm_p,
         "err_grad_p": err_grad_p,
         "err_w1p": err_grad_p + err_val_p,
         "hgrad_p": _norm_p(grid, gu[..., :r], p, weights),

@@ -454,6 +454,13 @@ def test_audit_density_rejects_a_nan_constant(flag, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_audit_density_rejects_a_huge_negative_p(capsys):
+    # the range check runs before the certified constant 2^(1 - p/2), which
+    # would overflow here
+    assert main(["audit-density", "--kind", "separable-p", "--p=-1e308", "--samples", "100"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_audit_density_byte_identical_given_seed(tmp_path):
     outs = []
     for name in ("a", "b"):

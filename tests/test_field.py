@@ -22,7 +22,16 @@ from elongate import (
     region_cells,
     save_field,
 )
-from elongate.field import _cell_gradients_arr, _pair, _pair_adjoint
+from elongate.field import (
+    _assemble_gradient_arr,
+    _cell_gradients_arr,
+    _gradient_scales,
+    _load_vector,
+    _pair,
+    _pair_adjoint,
+    load_cell_values,
+)
+from elongate.solver import _halve
 
 CS1 = CrossSection("box", 1)
 
@@ -287,3 +296,40 @@ def test_pair_adjoint_is_the_transpose_of_pair(cells):
             edges = shape[:axis] + (shape[axis] - 1,) + shape[axis + 1:]
             contrib = rng.standard_normal(edges)
             assert np.array_equal(_pair_adjoint(contrib, axis, diff).ravel(), matrix.T @ contrib.ravel())
+
+
+def _per_component_assembly(grid, grads, density, load_vec):
+    """The gradient assembly one component at a time: the adjoint of the
+    difference along the component's axis and of the sum along every other."""
+    gF = density.grad(grads)
+    out = -load_vec
+    for a, scale in enumerate(_gradient_scales(grid.h)[1]):
+        comp = np.where(grid.cell_mask, gF[..., a] * scale, 0.0)
+        for b in range(grid.n):
+            comp = _pair_adjoint(comp, b, b == a)
+        out = out + comp
+    out[grid.dirichlet] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    build_vertical_grid((1.0,), 1 / 8),
+    build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8),
+    build_grid(DomainSpec(CrossSection("ball", 2), 1.5, (1.0,)), 1 / 8),
+], ids=["n1", "n2", "n3-ball"])
+def test_merged_assembly_matches_the_per_component_sum(grid):
+    # one pass along the last axis for every component: the same gradient
+    # as the per-component sum, to round-off, on the grid and halved along
+    # every axis, where the first node of each axis is free
+    rng = np.random.default_rng(grid.n)
+    half = _halve(grid, tuple(range(grid.n)))
+    assert not half.dirichlet[..., 0].all()
+    for sub in (grid, half):
+        load_vec = _load_vector(sub, load_cell_values(sub, Load.constant(2.0)))
+        x = rng.standard_normal(sub.shape)
+        x[sub.dirichlet] = 0.0
+        grads = _cell_gradients_arr(sub, x)
+        for d in (make_density("quadratic", r=sub.r, n=sub.n), make_density("p-dirichlet", 4.0, r=sub.r, n=sub.n)):
+            expected = _per_component_assembly(sub, grads, d, load_vec)
+            got = _assemble_gradient_arr(sub, grads, d, load_vec)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))

@@ -17,7 +17,9 @@ from elongate import (
     assemble_energy_gradient,
     build_grid,
     build_vertical_grid,
+    cell_gradients,
     extend_vertical,
+    lp_norm_p,
     make_density,
     minimality_audit,
     minimize,
@@ -28,7 +30,7 @@ from elongate import (
 from elongate.field import _assemble_gradient_arr, _cell_gradients_arr, _load_vector, load_cell_values
 from elongate.density import EnergyDensity
 from elongate.precond import _DENSE_MAX, _SineAxis, _box_inverse, _green_sums, _sine_matrix, _sines, _swaps
-from elongate.solver import _halve, _mirror_axes
+from elongate.solver import _descent, _halve, _max_norm, _mirror_axes
 
 CS1 = CrossSection("box", 1)
 LOAD2 = Load.constant(2.0)
@@ -331,7 +333,13 @@ def test_ball_inverse_inverts_quadratic_hessian(monkeypatch, r, ell, halfwidths,
     # full grid and halved along the horizontal, the vertical or every even
     # axis; a lowered threshold sends the horizontal axes through rfft.
     # Odd horizontal cell counts (9 and 37 cells) give mirror folds that map
-    # no node to itself; two vertical axes take two vertical mode factors
+    # no node to itself; two vertical axes take two vertical mode factors.
+    # The first application solves the capacitance systems for its one
+    # right-hand side per mode, the second forms the operators that every
+    # later one applies; on the same residual the two agree to round-off.
+    # On the 4-D grids the formed operator is the less accurate side:
+    # halved along every axis it was off the oracle by up to 6.8e-13 over
+    # 20 random fields, the first application by up to 7.1e-14
     monkeypatch.setattr(elongate.precond, "_DENSE_MAX", dense_max)
     grid = build_grid(DomainSpec(CrossSection("ball", r), ell, halfwidths), h)
     assert grid.outside_cells is not None and grid.n == r + len(halfwidths)
@@ -344,8 +352,12 @@ def test_ball_inverse_inverts_quadratic_hessian(monkeypatch, r, ell, halfwidths,
         apply_inverse = _box_inverse(sub, halved)
         x = rng.standard_normal(sub.shape)
         x[sub.dirichlet] = 0.0
-        z = apply_inverse(_hessian_product(sub, x))
+        residual = _hessian_product(sub, x)
+        z = apply_inverse(residual)
         assert np.max(np.abs(z - x)) <= 1e-12 * np.max(np.abs(x))
+        again = apply_inverse(residual)
+        assert np.max(np.abs(again - x)) <= 1e-12 * np.max(np.abs(x))
+        assert np.max(np.abs(again - z)) <= (1e-13 if r == 2 else 1e-12) * np.max(np.abs(z))
         b = rng.standard_normal(sub.shape)
         b[sub.dirichlet] = 0.0
         Ab = _hessian_product(sub, apply_inverse(b))
@@ -752,9 +764,118 @@ def test_quadratic_ball_solve_iterations():
             assert np.array_equal(u.values, np.flip(u.values, a))
 
 
+class _Tilted(EnergyDensity):
+    """``|xi|^2 / 2 + c . xi``: a quadratic density whose flux at 0 is ``c``, not 0."""
+
+    def __init__(self, r, n):
+        super().__init__(2.0, 0.0, 0.5, 0.5, 0.5, r, n)
+        self.c = np.linspace(0.5, 1.5, n)
+
+    def value(self, xi):
+        xi = np.asarray(xi, dtype=float)
+        return 0.5 * np.sum(xi * xi, axis=-1) + xi @ self.c
+
+    def grad(self, xi):
+        return np.asarray(xi, dtype=float) + self.c
+
+    def line_increment(self, xi, delta):
+        b = np.sum(self.grad(xi) * delta, axis=-1)
+        c = 0.5 * np.sum(delta * delta, axis=-1)
+        return lambda alpha: alpha * (b + alpha * c)
+
+    def vertical_restriction(self):
+        return make_density("quadratic", r=0, n=self.n - self.r)
+
+
+def _first_gradient(grid, d):
+    """The gradient with which a descent from the zero field starts."""
+    seen = []
+    inverse = _box_inverse(grid)
+    load_vec = _load_vector(grid, load_cell_values(grid, LOAD2))
+    _descent(grid, d, load_vec, np.zeros(grid.shape), 0.0, 1, None, lambda g: seen.append(g) or inverse(g),
+             _max_norm(()))
+    return seen[0], _assemble_gradient_arr(grid, np.zeros(grid.cell_shape + (grid.n,)), d, load_vec), load_vec
+
+
+@pytest.mark.parametrize("kind,p", [("quadratic", None), ("p-dirichlet", 4.0), ("separable-p", 3.0)])
+def test_zero_start_gradient_is_the_assembly_at_zero(kind, p):
+    # a built-in's flux at a zero cell gradient is 0, so the descent starts
+    # from the load term alone, equal to the assembly of zero cell gradients
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
+    first, assembled, load_vec = _first_gradient(grid, make_density(kind, p, r=2, n=3))
+    assert np.array_equal(first, assembled) and np.array_equal(first, 0.0 - load_vec)
+
+
+def test_zero_start_with_a_flux_at_zero_takes_the_assembly():
+    # F'(0) = c != 0: the zero start assembles the fluxes of zero cell
+    # gradients, and the solve meets the exact oracle
+    grid = build_grid(DomainSpec(CrossSection("ball", 2), 1.0, (0.5,)), 0.25)
+    d = _Tilted(r=2, n=3)
+    first, assembled, load_vec = _first_gradient(grid, d)
+    assert np.array_equal(first, assembled) and not np.array_equal(first, 0.0 - load_vec)
+    # the dense oracle: the quadratic density's Hessian, the tilted load
+    free = np.flatnonzero(~grid.dirichlet)
+    quadratic = make_density("quadratic", r=2, n=3)
+    A = np.array([_hessian_product(grid, e.reshape(grid.shape), quadratic).ravel()[free]
+                  for e in np.eye(grid.node_count)[free]]).T
+    b = -assemble_energy_gradient(ScalarField(grid, np.zeros(grid.shape)), d, LOAD2).ravel()[free]
+    exact = np.linalg.solve(A, b)
+    u, rep = minimize(grid, d, LOAD2, SolveOptions(grad_tol=1e-12))
+    assert rep.converged and rep.iterations == 1 and rep.mirror_axes == []
+    assert np.max(np.abs(u.values.ravel()[free] - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+class _NaNAfterStep(type(make_density("p-dirichlet", 4.0, r=1, n=2))):
+    def grad(self, xi):
+        return np.full(np.shape(xi), np.nan) if np.any(xi) else super().grad(xi)
+
+
+BALL2 = CrossSection("ball", 2)
+
+
+@pytest.mark.parametrize("cs,ell,h,d,load,opts,exit_", [
+    (CS1, 2.0, 1 / 8, make_density("quadratic", r=1, n=2), LOAD2, None, "converged"),
+    (CS1, 2.0, 1 / 8, make_density("quadratic", r=1, n=2), Load.constant(0.0), None, "zero load"),
+    (CS1, 2.0, 1 / 8, make_density("p-dirichlet", 4.0, r=1, n=2), LOAD2, SolveOptions(max_iters=1), "cap"),
+    (BALL2, 2.0, 1 / 4, make_density("p-dirichlet", 4.0, r=2, n=3), LOAD2, SolveOptions(max_iters=2), "cap"),
+    (None, None, 1 / 8, make_density("p-dirichlet", 4.0, r=1, n=2), LOAD2,
+     SolveOptions(grad_tol=1e-16, max_iters=400), "line search"),
+    (CS1, 2.0, 1 / 8, _NaNAfterStep(4.0, r=1, n=2), LOAD2, None, "non-finite"),
+    (CS1, 4.0, 1 / 16, make_density("quadratic", r=1, n=2), LOAD2, SolveOptions(grad_tol=1e-16), "stagnation"),
+], ids=["converged", "zero-load", "cap-box", "cap-ball", "line-search", "non-finite", "stagnation"])
+def test_every_exit_reports_the_final_iterate(monkeypatch, cs, ell, h, d, load, opts, exit_):
+    # each exit of the descent hands back cell gradients derived from its
+    # final iterate, and the report's energy and gradient norm, taken from
+    # them, are the full grid's formulas of the returned field
+    runs = []
+
+    def recording(*args):
+        runs.append(_descent(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(elongate.solver, "_descent", recording)
+    if cs is None:  # the limit problem
+        grid, d = build_vertical_grid([1.0], h), d.vertical_restriction()
+    else:
+        grid = build_grid(DomainSpec(cs, ell, (1.0,)), h)
+    u, rep = minimize(grid, d, load, opts)
+    (run,) = runs
+    assert rep.converged == (exit_ in ("converged", "zero load"))
+    assert (rep.iterations == 0) == (exit_ == "zero load")
+    if exit_ == "cap":
+        assert rep.iterations == opts.max_iters
+    if exit_ == "non-finite":
+        assert rep.iterations == 1 and not np.isfinite(rep.grad_max)
+    assert np.array_equal(run.grads, _cell_gradients_arr(grid, run.x))
+    energy, norm = assemble_energy(u, d, load), lp_norm_p(grid, cell_gradients(u), d.p)
+    assert abs(rep.energy - energy) <= 1e-13 * abs(energy)
+    assert abs(rep.grad_norm_p - norm) <= 1e-13 * norm
+
+
 def test_one_iteration_solve_gradient_count():
-    # one iteration: the initial gradient, the gradient from the carried
-    # cell gradients and the one re-derived from the iterate to confirm
+    # one iteration: the density's gradient at one zero vector (the zero
+    # start then needs no assembly), the gradient from the carried cell
+    # gradients and the one re-derived from the iterate to confirm
     # convergence, which also gives the reported grad_max
     class CountingQuadratic(type(make_density("quadratic", r=1, n=2))):
         calls = 0

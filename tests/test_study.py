@@ -211,7 +211,8 @@ def test_sweep_config_validation():
 
 #: Every range a constructor owns: a builder from one value, and a value
 #: that passes.  A sweep config checks its domain and grid ranges through
-#: those owners.
+#: those owners.  A huge negative value must fail as a ValueError too, not
+#: overflow on the way (``separable-p``'s certified constant ``2^(1 - p/2)``).
 _RANGES = {
     "CrossSection.r": (lambda v: CrossSection("box", v), 2),
     "DomainSpec.ell": (lambda v: DomainSpec(CS1, v, (1.0,)), 2.0),
@@ -222,6 +223,7 @@ _RANGES = {
     "build_vertical_grid.target_h": (lambda v: build_vertical_grid((1.0,), v), 0.5),
     "build_vertical_grid.max_nodes": (lambda v: build_vertical_grid((1.0,), 0.5, v), 100),
     "make_density.p": (lambda v: make_density("p-dirichlet", v), 3.0),
+    "make_density.separable-p.p": (lambda v: make_density("separable-p", v), 3.0),
     "make_density.lam": (lambda v: make_density("quadratic", lam=v), 0.6),
     "make_density.Lam": (lambda v: make_density("quadratic", Lam=v), 0.6),
     "make_density.beta": (lambda v: make_density("quadratic", beta=v), 0.0),
@@ -234,7 +236,7 @@ _RANGES = {
 }
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e308], ids=["nan", "inf", "-inf", "-1e308"])
 @pytest.mark.parametrize("owner", list(_RANGES))
 def test_every_range_rejects_nonfinite_values(owner, bad):
     build, good = _RANGES[owner]
@@ -309,6 +311,24 @@ def test_record_matches_the_full_grid_formula(cs, ell, h, ell0, density, load, a
     for column, value in expected.items():
         assert value != 0.0
         assert abs(getattr(rec, column) - value) <= rtol * abs(value), column
+
+
+@pytest.mark.parametrize("config", [
+    dict(ells=tuple(range(2, 13)), target_h=1 / 32),
+    dict(cross_section=CrossSection("ball", 2), density=make_density("quadratic", r=2, n=3),
+         options=SolveOptions()),
+    dict(target_h=1 / 16, density=make_density("p-dirichlet", 4.0, r=1, n=2), options=SolveOptions()),
+], ids=["quadratic-box", "cli-ball", "p4-sweep"])
+def test_records_satisfy_the_euler_identity(config):
+    # at the minimizer grad J(u) . u = 0, which for |xi|^p / p gives
+    # J = -(1 - 1/p) * total_grad_energy: two CSV columns, one from the
+    # energy and one from the gradient norm, both of the final iterate
+    cfg = _sweep_config(**config)
+    records, p = run_sweep(cfg).records, cfg.density.p
+    assert len(records) == len(cfg.ells)
+    for rec in records:
+        assert rec.converged
+        assert abs(rec.J_ell + (1.0 - 1.0 / p) * rec.total_grad_energy) <= 1e-10 * abs(rec.J_ell)
 
 
 def test_centroid_tie_core_is_not_mirror_symmetric():
