@@ -16,10 +16,8 @@ nodes by vertical modes.  A mirror-symmetric problem comes halved along
 its symmetric axes (:func:`elongate.solver._halve`), and a halved axis
 transforms to its odd modes alone; halving is what keeps a symmetric
 solution exactly symmetric.  Everything but the arithmetic is set up
-once per solve, apart from the correction's dense operators: the first
-application solves their systems for its own right-hand sides, and the
-second forms them for every later one, so a one-iteration quadratic
-solve never forms them.
+once per solve; the correction's dense systems are solved on each
+application for its own right-hand sides, never inverted.
 """
 
 from __future__ import annotations
@@ -197,9 +195,9 @@ def _box_inverse(grid: Grid, halved: tuple[int, ...] = ()) -> Callable[[np.ndarr
     2`` cells is the upper half of ``N``, its first node is free and only
     its odd modes occur, each taken twice (the factor ``2^k`` for ``k``
     halved axes).  Everything but the arithmetic is set up here, once
-    per solve, except the correction's operators, which its second
-    application forms (:func:`_capacitance`); each application ping-pongs
-    between interior-size arrays of its own.
+    per solve; each application solves the correction's systems
+    (:func:`_capacitance`) and ping-pongs between interior-size arrays
+    of its own.
     """
     r, inner = grid.r, tuple(slice(0 if a in halved else 1, -1) for a in range(grid.n))
     shape = tuple(m if a in halved else m - 1 for a, m in enumerate(grid.cell_shape))
@@ -341,12 +339,10 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
     (horizontal nodes by vertical modes) and in that space, or ``None``
     when ``Gamma`` is empty.  ``Qh W Qh^T = I`` (:class:`_SineAxis`)
     cancels the mid-plane weights of a halved vertical axis there.
-    Its first call solves ``(I + E_k G_k) y = E_k U^T z`` for its one
-    right-hand side per mode, one batched solve per class; its second
-    forms ``(I + E_k G_k)^-1 E_k`` per class and keeps it, and every later
-    call applies it.  So the set-up stops at ``I + E_k G_k`` and ``E_k``,
-    and a quadratic solve, which applies the correction once, never forms
-    the operators.
+    Each call solves ``(I + E_k G_k) y = E_k U^T z`` for its one
+    right-hand side per mode, one batched solve per class, so the set-up
+    stops at ``I + E_k G_k`` and ``E_k`` and never forms the operators
+    ``(I + E_k G_k)^-1 E_k``.
     """
     r, n = grid.r, grid.n
     vert = tuple(range(r, n))
@@ -451,19 +447,11 @@ def _capacitance(grid: Grid, axes: list[_SineAxis], inner: tuple) -> Callable[[n
         systems.append((rows, a, e, c_v * weight[rows]))
 
     gather = tuple(k - sl.start for k, sl in zip(nodes, inner))  # Gamma's interior indices
-    operators, applied = [], False
 
     def correct(z: np.ndarray) -> np.ndarray:
-        nonlocal applied
         y = fold(z.reshape(z.shape[:r] + (-1,))[gather])
-        if applied and systems:  # the second application forms the operators, for it and every later one
-            operators.extend((rows, np.linalg.solve(a, e) / w) for rows, a, e, w in systems)
-            systems.clear()
-        for rows, a, e, w in systems:  # the first: one right-hand side per mode; the classes' rows are disjoint
+        for rows, a, e, w in systems:  # one right-hand side per mode; the classes' rows are disjoint
             y[rows] = np.linalg.solve(a, e @ (y[rows] / w[:, None]).T[:, :, None])[:, :, 0].T
-        for rows, op in operators:
-            y[rows] = np.matmul(op, y[rows].T[:, :, None])[:, :, 0].T
-        applied = True
         c = np.zeros(z.shape)
         c.reshape(z.shape[:r] + (-1,))[gather] = unfold(y)
         return c

@@ -151,8 +151,10 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
     fresh = True  # whether Gx was derived from x, not carried along steps
     if not x.any() and not density.grad(np.zeros((1, grid.n))).any():
         # the zero start: every cell gradient and, for a density with
-        # F'(0) = 0, every flux is 0, so the gradient is the load term alone
-        Gx, g = None, 0.0 - load_vec
+        # F'(0) = 0, every flux is 0, so the gradient is the load term alone;
+        # the cell gradients are stored component-major, as derived ones are
+        Gx = np.zeros((grid.n,) + grid.cell_shape).transpose(*range(1, grid.n + 1), 0)
+        g = 0.0 - load_vec
     else:
         Gx = _cell_gradients_arr(grid, x)
         g = _assemble_gradient_arr(grid, Gx, density, load_vec)
@@ -174,8 +176,6 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         Gd = _cell_gradients_arr(grid, d)
         if outside is not None:
             np.copyto(Gd, 0.0, where=outside[..., None])
-        if Gx is None:
-            Gx = np.zeros_like(Gd)
         line = density.line_energy(Gx, Gd)
         lin_d = float(np.vdot(load_vec, d))
 
@@ -245,8 +245,8 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
 
 def _finish(grid, x, Gx, fresh, iterations, trials, gmax, converged) -> _Descent:
     """The descent record, with the cell gradients of ``x`` derived once more
-    unless ``Gx`` already holds them fresh (a zero start leaves ``None``)."""
-    if Gx is None or not fresh:
+    unless ``Gx`` already holds them fresh."""
+    if not fresh:
         Gx = _cell_gradients_arr(grid, x)
     return _Descent(x, Gx, iterations, trials, gmax, converged)
 
