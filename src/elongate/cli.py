@@ -98,7 +98,7 @@ _KEYS: dict[tuple[str, str], tuple[Any, Callable[[Any], bool], str]] = {
     ("solver", "max_iters"): (SolveOptions.max_iters, _integer, _INTEGER),
     ("solver", "warm_start"): (SweepConfig.warm_start, lambda v: isinstance(v, bool), "true or false"),
     ("study", "ell0"): (SweepConfig.ell0, _finite, _NUMBER),
-    ("study", "floor"): (None, lambda v: v is None or _finite(v), f"null or {_NUMBER}"),
+    ("study", "floor"): (None, lambda v: v is None or (_finite(v) and v >= 0), f"null or {_NUMBER} >= 0"),
     ("study", "fit_models"): (
         list(_FIT_MODELS),
         lambda v: isinstance(v, list) and all(m in _FIT_MODELS for m in v),

@@ -282,8 +282,8 @@ def lp_norm_p(grid: Grid, values: np.ndarray, p: float, region: np.ndarray | Non
 def _norm_p(grid: Grid, values, p: float, weights: np.ndarray) -> float:
     """:func:`lp_norm_p` with per-cell weights (a region weighs 1) over the
     grid's cells or a box of them: the sum of ``weight * |value|^p`` in C order."""
-    if p < 1:
-        raise ValueError("p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be at least 1 and finite")
     values = np.asarray(values, dtype=float)
     if values.ndim == weights.ndim + 1:
         mag = np.sqrt(_dot(values, values))

@@ -287,8 +287,8 @@ def region_cells(grid: Grid, kind: Literal["core", "slab"], t: float, s: float |
     """
     if grid.r == 0:
         raise ValueError("regions need a horizontal axis")
-    if t <= 0:
-        raise ValueError("region level t must be positive")
+    if not 0 < t < math.inf:
+        raise ValueError("region level t must be positive and finite")
     g = grid.cell_gauge()
     if kind == "core":
         hmask = g < t

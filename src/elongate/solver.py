@@ -148,7 +148,6 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
     outside = grid.outside_cells
     trials = 0
 
-    fresh = True  # whether Gx was derived from x, not carried along steps
     if not x.any() and not density.grad(np.zeros((1, grid.n))).any():
         # the zero start: every cell gradient and, for a density with
         # F'(0) = 0, every flux is 0, so the gradient is the load term alone;
@@ -160,13 +159,12 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         g = _assemble_gradient_arr(grid, Gx, density, load_vec)
     gmax = max_norm(g)
     if gmax <= tol or not math.isfinite(gmax):
-        return _finish(grid, x, Gx, fresh, 0, trials, gmax, gmax <= tol)
+        return _finish(grid, x, Gx, 0, trials, gmax, gmax <= tol)
     z = precond(g)
     gz = float(np.vdot(g, z))
     d = -z
     m = -gz
     step = _INITIAL_STEP
-    converged = False
     k = 0
     for k in range(1, max_iters + 1):
         # Energy change along d: the density's increment summed over the
@@ -198,35 +196,28 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         while not f <= _ARMIJO_C1 * alpha * m:
             alpha *= _BACKTRACK
             if alpha < _MIN_STEP:  # no acceptable step: iteration k takes none
-                return _finish(grid, x, Gx, fresh, k - 1, trials, gmax, False)
+                return _finish(grid, x, Gx, k - 1, trials, gmax, False)
             f = phi(alpha)
         x = x + alpha * d
         step = alpha
         if callback is not None:
             callback(k, x)
         # Cell gradients are linear in the field, so they are carried along
-        # the step and re-derived from x every 50 iterations and before
-        # convergence is accepted; in between they are stale on
-        # out-of-domain cells, which count for nothing: the gradient
-        # assembly zeroes their fluxes and the line energy meets them with
-        # a zero direction.  The line data goes first, so that the
-        # gradient assembly does not add to it.
+        # the step and re-derived from x only before convergence is
+        # accepted.  Carried ones are stale on out-of-domain cells, which
+        # count for nothing: the gradient assembly zeroes their fluxes and
+        # the line energy meets them with a zero direction.  The line data
+        # goes first, so that the gradient assembly does not add to it.
         Gd *= alpha
         Gx += Gd
         line = Gd = None
-        fresh = k % 50 == 0
-        if fresh:
-            Gx = _cell_gradients_arr(grid, x)
         g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
         gmax = max_norm(g_new)
-        if gmax <= tol and not fresh:
-            Gx, fresh = _cell_gradients_arr(grid, x), True
+        if gmax <= tol:
+            Gx = _cell_gradients_arr(grid, x)
             g_new = _assemble_gradient_arr(grid, Gx, density, load_vec)
             gmax = max_norm(g_new)
-        if not math.isfinite(gmax):
-            break
-        if gmax <= tol:
-            converged = True
+        if gmax <= tol or not math.isfinite(gmax):
             break
         if alpha * float(np.abs(d).max()) <= _EPS * float(np.abs(x).max()):
             break  # stagnated at the round-off floor: the step no longer moves x
@@ -240,13 +231,14 @@ def _descent(grid, density, load_vec, x, tol, max_iters, callback, precond, max_
         if m >= 0.0:  # restart: keep the direction a descent direction
             np.negative(z, out=d)
             m = -gz
-    return _finish(grid, x, Gx, fresh, k, trials, gmax, converged)
+    return _finish(grid, x, Gx, k, trials, gmax, gmax <= tol)
 
 
-def _finish(grid, x, Gx, fresh, iterations, trials, gmax, converged) -> _Descent:
-    """The descent record, with the cell gradients of ``x`` derived once more
-    unless ``Gx`` already holds them fresh."""
-    if not fresh:
+def _finish(grid, x, Gx, iterations, trials, gmax, converged) -> _Descent:
+    """The descent record.  A converged descent derived ``Gx`` from ``x``
+    before accepting it; any other exit derives the cell gradients of ``x``
+    once more, since ``Gx`` may have been carried along steps."""
+    if not converged:
         Gx = _cell_gradients_arr(grid, x)
     return _Descent(x, Gx, iterations, trials, gmax, converged)
 
@@ -283,7 +275,8 @@ def _upper_half(values: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def _halve(grid: Grid, axes: tuple[int, ...]) -> Grid:
-    """The grid cut to its upper half along ``axes``, or the grid itself.
+    """The grid cut to its upper half along ``axes``; with no axes, an equal
+    grid built from views of this one's arrays.
 
     Its first node along a halved axis lies on the mid-plane and is free
     unless the full grid fixes it.  For a field symmetric about those
@@ -291,8 +284,6 @@ def _halve(grid: Grid, axes: tuple[int, ...]) -> Grid:
     (``k = len(axes)``), and the full gradient equals the halved one,
     doubled on each halved mid-plane.
     """
-    if not axes:
-        return grid
     dirichlet = np.ascontiguousarray(_upper_half(grid.dirichlet, axes))
     lo = list(grid.lo)
     for a in axes:
@@ -396,14 +387,12 @@ def solve_limit(
     """Minimize the limit energy on the vertical box alone.
 
     Same contract as :func:`minimize`, with the density's vertical
-    restriction in place of the full density.
+    restriction in place of the full density; :func:`minimize` rejects a
+    restriction whose component count is not the vertical grid's.
     """
     if vertical_grid.r != 0:
         raise ValueError("limit problems live on a vertical grid (r == 0)")
-    vd = density.vertical_restriction()
-    if vd.n != vertical_grid.n:
-        raise ValueError("vertical grid dimension does not match the density split")
-    return minimize(vertical_grid, vd, load, opts)
+    return minimize(vertical_grid, density.vertical_restriction(), load, opts)
 
 
 def oracle_1d(p: float, f_const: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -414,10 +403,10 @@ def oracle_1d(p: float, f_const: float) -> Callable[[np.ndarray], np.ndarray]:
     ``|u'|^(p-2) u'`` equals ``-f x``, whose derivative is ``-f``, and it
     vanishes at both endpoints.  Vectorized in ``x``.
     """
-    if p < 2:
-        raise ValueError("closed form exposed for p >= 2 only")
-    if f_const <= 0:
-        raise ValueError("load constant must be positive")
+    if not 2 <= p < math.inf:
+        raise ValueError("closed form exposed for finite p >= 2 only")
+    if not 0 < f_const < math.inf:
+        raise ValueError("load constant must be positive and finite")
     q = p / (p - 1.0)
     c = (p - 1.0) / p * f_const ** (1.0 / (p - 1.0))
 
@@ -452,7 +441,8 @@ def minimality_audit(
     gauge-ramp blends toward the limit profile ``limit``, extended over
     the grid.  ``seed`` fixes the bumps and blends.  A violation is a
     competitor whose energy undercuts the solution's by more than ``10 *
-    grad_tol * max(1, |J|)``.
+    grad_tol * max(1, |J|)``; ``grad_tol`` is checked as
+    :class:`SolveOptions` checks it, and ``None`` picks the density's default.
     """
     grid = u.grid
     if grid.r == 0:
@@ -461,7 +451,7 @@ def minimality_audit(
     rng = np.random.default_rng(seed)
     f_cells = load_cell_values(grid, load)
     Ju = _assemble_energy_arr(grid, u.values, density, f_cells)
-    gtol = grad_tol if grad_tol is not None else default_grad_tol(density)
+    gtol = SolveOptions(grad_tol=grad_tol).grad_tol or default_grad_tol(density)
     tol = 10.0 * gtol * max(1.0, abs(Ju))
 
     gaps: list[tuple[float, str]] = []

@@ -261,10 +261,12 @@ def fit_rate(points: Sequence[tuple[float, float]], model: str, floor: float = 0
     """Least squares in log coordinates over the points above the floor."""
     if model not in ("power", "exponential"):
         raise ValueError(f"unknown rate model {model!r}")
+    if not 0 <= floor < math.inf:
+        raise ValueError(f"fit floor must be non-negative and finite, got {floor!r}")
     pts = [(float(l), float(e)) for l, e in points]
     if bad := [l for l, _ in pts if not math.isfinite(l)]:
         raise ValueError(f"elongations must be finite, got {bad[0]!r}")
-    usable = [(l, e) for l, e in pts if np.isfinite(e) and e > max(floor, 0.0)]
+    usable = [(l, e) for l, e in pts if np.isfinite(e) and e > floor]
     if len(usable) < 3:
         return RateFit(model, float("nan"), float("nan"), float("nan"), len(usable), floor, False)
     ells = np.array([l for l, _ in usable])

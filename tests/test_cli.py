@@ -420,6 +420,53 @@ def test_profile_rows_ascending_and_monotone(tmp_path):
     assert gs[0] <= 0.9 * gs[1]
 
 
+def test_ball_sweep_failing_two_verdicts_exits_3(tmp_path, capsys):
+    # ball r = 2, quadratic, ell = 2, 3, 4, h = 1/8: the coarse scaling and
+    # the horizontal-gradient verdicts fail; every artifact is still written
+    cfg = _write_config(tmp_path / "c.json", domain={"r": 2, "cross_section": "ball", "ell_list": [2, 3, 4]},
+                        grid={"target_h": 0.125}, solver={"grad_tol": None})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "verdict coarse_energy_scaling failed" in err
+    assert "verdict horizontal_gradient_vanishes failed" in err
+    assert sorted(os.listdir(out)) == ["fits.json", "plot-exponential.dat", "plot-power.dat",
+                                       "resolved-config.json", "sweep.csv", "verdicts.json"]
+    failed = {v["name"] for v in json.loads((out / "verdicts.json").read_text()) if v["passed"] is False}
+    assert failed == {"coarse_energy_scaling", "horizontal_gradient_vanishes"}
+
+
+def test_solve_failing_the_minimality_audit_exits_3(tmp_path, monkeypatch, capsys):
+    from elongate.solver import MinimalityReport
+
+    monkeypatch.setattr("elongate.cli.minimality_audit", lambda *a, **k: MinimalityReport(125, 2, 1.0, 1e-9, "bump 0"))
+    cfg = _write_config(tmp_path / "c.json")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "minimality audit failed: 2 violations" in capsys.readouterr().err
+    assert json.loads((out / "minimality-audit.json").read_text())["violations"] == 2
+
+
+def test_sweep_without_an_exponential_fit_leaves_its_verdict_open(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "c.json", study={"fit_models": ["power"]})
+    out = tmp_path / "o"
+    main(["sweep", "--config", str(cfg), "--out", str(out)])
+    assert list(json.loads((out / "fits.json").read_text())) == ["power"]
+    (verdict,) = [v for v in json.loads((out / "verdicts.json").read_text()) if v["name"] == "exponential_rate"]
+    assert (verdict["applicable"], verdict["passed"], verdict["note"]) == (True, None, "no exponential fit supplied")
+    assert "verdict exponential_rate indeterminate (no exponential fit supplied)" in capsys.readouterr().err
+
+
+def test_negative_floor_is_config_error(tmp_path, capsys):
+    # a fit floor is non-negative (fit_rate's range); the config says so before any solve
+    cfg = _write_config(tmp_path / "c.json", study={"floor": -1.0})
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "study.floor" in err and ">= 0" in err
+    assert not out.exists()
+
+
 def test_profile_does_not_run_the_minimality_audit(tmp_path, monkeypatch):
     def no_audit(*args, **kwargs):
         raise AssertionError("profile ran the minimality audit")

@@ -828,6 +828,13 @@ class _NaNAfterStep(type(make_density("p-dirichlet", 4.0, r=1, n=2))):
         return np.full(np.shape(xi), np.nan) if np.any(xi) else super().grad(xi)
 
 
+class _NaNLine(type(make_density("p-dirichlet", 4.0, r=1, n=2))):
+    """Every line-search trial reads NaN, so no step is ever accepted."""
+
+    def line_energy(self, xi, delta):
+        return lambda alpha: np.nan
+
+
 BALL2 = CrossSection("ball", 2)
 
 
@@ -836,11 +843,13 @@ BALL2 = CrossSection("ball", 2)
     (CS1, 2.0, 1 / 8, make_density("quadratic", r=1, n=2), Load.constant(0.0), None, "zero load"),
     (CS1, 2.0, 1 / 8, make_density("p-dirichlet", 4.0, r=1, n=2), LOAD2, SolveOptions(max_iters=1), "cap"),
     (BALL2, 2.0, 1 / 4, make_density("p-dirichlet", 4.0, r=2, n=3), LOAD2, SolveOptions(max_iters=2), "cap"),
+    (CS1, 2.0, 1 / 8, _NaNLine(4.0, r=1, n=2), LOAD2, None, "line search"),
     (None, None, 1 / 8, make_density("p-dirichlet", 4.0, r=1, n=2), LOAD2,
-     SolveOptions(grad_tol=1e-16, max_iters=400), "line search"),
+     SolveOptions(grad_tol=1e-16, max_iters=400), "stagnation"),
     (CS1, 2.0, 1 / 8, _NaNAfterStep(4.0, r=1, n=2), LOAD2, None, "non-finite"),
     (CS1, 4.0, 1 / 16, make_density("quadratic", r=1, n=2), LOAD2, SolveOptions(grad_tol=1e-16), "stagnation"),
-], ids=["converged", "zero-load", "cap-box", "cap-ball", "line-search", "non-finite", "stagnation"])
+], ids=["converged", "zero-load", "cap-box", "cap-ball", "line-search", "stagnation-limit", "non-finite",
+        "stagnation"])
 def test_every_exit_reports_the_final_iterate(monkeypatch, cs, ell, h, d, load, opts, exit_):
     # each exit of the descent hands back cell gradients derived from its
     # final iterate, and the report's energy and gradient norm, taken from
@@ -859,7 +868,9 @@ def test_every_exit_reports_the_final_iterate(monkeypatch, cs, ell, h, d, load, 
     u, rep = minimize(grid, d, load, opts)
     (run,) = runs
     assert rep.converged == (exit_ in ("converged", "zero load"))
-    assert (rep.iterations == 0) == (exit_ == "zero load")
+    assert (rep.iterations == 0) == (exit_ in ("zero load", "line search"))
+    if exit_ == "line search":  # the first search halves from the probe at 2 to below 1e-16
+        assert rep.trials == 55
     if exit_ == "cap":
         assert rep.iterations == opts.max_iters
     if exit_ == "non-finite":
@@ -991,6 +1002,9 @@ def test_solve_limit_requires_vertical_grid():
     d = make_density("quadratic", r=1, n=2)
     with pytest.raises(ValueError):
         solve_limit(grid, d, LOAD2)
+    # a restriction to one vertical component on a grid with two: minimize says so
+    with pytest.raises(ValueError, match="density acts on 1 components, grid has 2"):
+        solve_limit(build_vertical_grid([1.0, 0.5], 1 / 4), d, LOAD2)
 
 
 @pytest.mark.parametrize("kind,p,gtol", [("quadratic", None, 1e-10), ("p-dirichlet", 4.0, 1e-9)])
@@ -1031,6 +1045,31 @@ def test_minimality_audit_runs_each_far_cut_level_once(ell, trials):
     u, _ = minimize(grid, d, LOAD2)
     w, _ = solve_limit(build_vertical_grid([1.0], 1 / 4), d, LOAD2)
     assert minimality_audit(u, d, LOAD2, w).trials == trials
+
+
+def _random_field_audit(grad_tol):
+    """The audit of a random field on the ``ell = 2``, ``h = 1/8`` box."""
+    grid = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 1 / 8)
+    d = make_density("quadratic", r=1, n=2)
+    w, _ = solve_limit(build_vertical_grid([1.0], 1 / 8), d, LOAD2)
+    u = ScalarField(grid, np.random.default_rng(0).standard_normal(grid.shape))
+    return minimality_audit(u, d, LOAD2, w, grad_tol=grad_tol)
+
+
+@pytest.mark.parametrize("gtol", [np.nan, np.inf, -np.inf, 0.0, -1.0, True, "1e-9"],
+                         ids=["nan", "inf", "-inf", "0", "-1", "True", "str"])
+def test_minimality_audit_rejects_a_bad_grad_tol(gtol):
+    # NaN or inf made the threshold such that no trial counted, so a random
+    # field passed; -1 flagged every trial.  The audit checks the value as
+    # SolveOptions does, and so fails where minimize fails
+    with pytest.raises(ValueError, match="grad_tol"):
+        _random_field_audit(gtol)
+
+
+@pytest.mark.parametrize("gtol", [None, 1e-9])
+def test_minimality_audit_flags_a_random_field(gtol):
+    report = _random_field_audit(gtol)
+    assert report.trials == 125 and 0 < report.violations < report.trials
 
 
 def test_minimality_audit_flags_nonminimizer():

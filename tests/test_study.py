@@ -25,6 +25,7 @@ from elongate import (
     fit_rate,
     lp_norm_p,
     make_density,
+    oracle_1d,
     power_rate_target,
     records_to_csv,
     region_cells,
@@ -209,10 +210,13 @@ def test_sweep_config_validation():
         _sweep_config(vertical_halfwidths=())
 
 
-#: Every range a constructor owns: a builder from one value, and a value
-#: that passes.  A sweep config checks its domain and grid ranges through
-#: those owners.  A huge negative value must fail as a ValueError too, not
-#: overflow on the way (``separable-p``'s certified constant ``2^(1 - p/2)``).
+#: Every range a constructor or function owns: a builder from one value,
+#: and a value that passes.  A sweep config checks its domain and grid
+#: ranges through those owners.  A huge negative value must fail as a
+#: ValueError too, not overflow on the way (``separable-p``'s certified
+#: constant ``2^(1 - p/2)``).
+_GRID = build_grid(DomainSpec(CS1, 2.0, (1.0,)), 0.5)
+_DECAY = [(2.0, 1.0), (3.0, 0.5), (4.0, 0.25)]
 _RANGES = {
     "CrossSection.r": (lambda v: CrossSection("box", v), 2),
     "DomainSpec.ell": (lambda v: DomainSpec(CS1, v, (1.0,)), 2.0),
@@ -233,6 +237,11 @@ _RANGES = {
     "SweepConfig.halfwidths": (lambda v: _sweep_config(vertical_halfwidths=(v,)), 0.5),
     "SweepConfig.target_h": (lambda v: _sweep_config(target_h=v), 0.25),
     "SweepConfig.max_nodes": (lambda v: _sweep_config(max_nodes=v), 100),
+    "lp_norm_p.p": (lambda v: lp_norm_p(_GRID, np.ones(_GRID.cell_shape), v), 2.0),
+    "region_cells.t": (lambda v: region_cells(_GRID, "core", v), 1.0),
+    "oracle_1d.p": (lambda v: oracle_1d(v, 2.0), 4.0),
+    "oracle_1d.f_const": (lambda v: oracle_1d(4.0, v), 2.0),
+    "fit_rate.floor": (lambda v: fit_rate(_DECAY, "exponential", v), 1e-8),
 }
 
 
